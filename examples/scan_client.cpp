@@ -53,6 +53,7 @@ usage(std::ostream& os, const char* argv0)
           "    [--trials <n>] [--seed <n>] [--decoder <name>]"
           " [--batch <n>]\n"
           "    [--target <n>] [--compute <name>] [--dry-run]\n"
+          "    (--compute is deprecated and has no effect)\n"
           "  cancel --requests <path|-> --id <id>\n"
           "  requeue --requests <path|-> --id <id>\n"
           "  shutdown --requests <path|->\n"

@@ -27,6 +27,8 @@
  * when the full history matters.
  */
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -56,7 +58,7 @@ usage(std::ostream& os, const char* argv0)
           "    [embedding=<name>] [schedule=aao|interleaved]\n"
           "    [distances=3,5,7] [ps=3e-3,...] [trials=<n>] [seed=<n>]\n"
           "    [decoder=<name>] [batch=<n>] [target=<n>]\n"
-          "    [compute=<name>]\n"
+          "    [compute=<name>]  (deprecated, no effect)\n"
           "  cancel id=<id>\n"
           "  requeue id=<id>\n"
           "  shutdown\n";
@@ -123,15 +125,16 @@ main(int argc, char** argv)
             *out = argv[++i];
             return true;
         };
-        auto count = [&](uint64_t* out) {
+        auto count = [&](uint64_t* out, uint64_t max = INT64_MAX) {
             std::string text;
             if (!value(&text))
                 return false;
             auto parsed = parseInt64(text);
-            if (!parsed || *parsed < 0) {
+            if (!parsed || *parsed < 0
+                || static_cast<uint64_t>(*parsed) > max) {
                 std::cerr << "error: " << arg
-                          << " expects a non-negative integer, got '"
-                          << text << "'\n";
+                          << " expects an integer in [0, " << max
+                          << "], got '" << text << "'\n";
                 return false;
             }
             *out = static_cast<uint64_t>(*parsed);
@@ -153,7 +156,7 @@ main(int argc, char** argv)
             if (!count(&config.quantumTrials))
                 return usage(std::cerr, argv[0]);
         } else if (arg == "--threads") {
-            if (!count(&n))
+            if (!count(&n, UINT_MAX))
                 return usage(std::cerr, argv[0]);
             config.threads = static_cast<unsigned>(n);
         } else if (arg == "--progress-every") {

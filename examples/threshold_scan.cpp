@@ -15,10 +15,8 @@
  *   VLQ_EMBEDDING overrides the setup's embedding with any registered
  *   generator backend (baseline, natural, compact, compact-rect), so
  *   new backends can be scanned without a new setup index.
- *   --compute selects the compute backend running the batch pipeline
- *   (scalar, simd); the VLQ_COMPUTE environment variable sets the
- *   default. Backends are bit-identical -- this is a throughput knob
- *   that can never change counts.
+ *   --compute (and VLQ_COMPUTE) is deprecated and has no effect: it
+ *   still accepts scalar and simd, and rejects any other name.
  *
  * VLQ_SEED sets the RNG seed (default 0x5eed): split-seed cluster
  * shards run the same scan under different seeds and their checkpoint
@@ -51,11 +49,10 @@
  * order, so the stream (and the final counts) are reproducible for
  * any thread count or batch size.
  */
+#include <cstdint>
 #include <iostream>
-#include <optional>
 #include <vector>
 
-#include "compute/compute_registry.h"
 #include "core/generator_registry.h"
 #include "decoder/decoder_factory.h"
 #include "mc/threshold.h"
@@ -77,7 +74,8 @@ usage(const char* argv0, const std::string& problem)
                  "  [--compute <backend>] [--metrics-json <path>]"
                  " [--trace-json <path>]\n"
               << "  decoders: " << decoderKindList() << "\n"
-              << "  compute backends: " << computeKindList() << "\n"
+              << "  --compute (deprecated, no effect): "
+              << computeKindList() << "\n"
               << "  VLQ_EMBEDDING overrides the embedding ("
               << embeddingKindList() << ")\n";
     return 1;
@@ -95,7 +93,6 @@ main(int argc, char** argv)
     // ignored.
     obs::initFromEnv();
     std::string checkpointPath = envString("VLQ_CHECKPOINT", "");
-    std::optional<ComputeKind> computeOverride;
     std::string metricsJsonPath;
     std::string traceJsonPath;
     std::vector<const char*> positional;
@@ -108,12 +105,10 @@ main(int argc, char** argv)
         } else if (arg == "--compute") {
             if (i + 1 >= argc)
                 return usage(argv[0], "--compute needs a value");
-            auto kind = parseComputeKind(argv[++i]);
-            if (!kind) {
+            if (!parseComputeKind(argv[++i])) {
                 return usage(argv[0], "unknown compute backend '"
                              + std::string(argv[i]) + "'");
             }
-            computeOverride = kind;
         } else if (arg == "--metrics-json") {
             if (i + 1 >= argc)
                 return usage(argv[0], "--metrics-json needs a value");
@@ -164,12 +159,16 @@ main(int argc, char** argv)
     cfg.mc.trials = trials;
     cfg.mc.seed = envU64("VLQ_SEED", cfg.mc.seed);
     cfg.mc.decoder = decoderKindFromEnv(DecoderKind::Mwpm);
-    cfg.mc.batchSize = static_cast<uint32_t>(envU64("VLQ_BATCH", 256));
+    const uint64_t batchSize = envU64("VLQ_BATCH", 256);
+    if (batchSize > UINT32_MAX) {
+        return usage(argv[0], "VLQ_BATCH must be an integer in [0, "
+                     + std::to_string(UINT32_MAX) + "], got '"
+                     + std::to_string(batchSize) + "'");
+    }
+    cfg.mc.batchSize = static_cast<uint32_t>(batchSize);
     cfg.mc.targetFailures = envU64("VLQ_TARGET_FAILURES", 0);
     cfg.mc.checkpointPath = checkpointPath;
     cfg.mc.checkpointEveryTrials = envU64("VLQ_CHECKPOINT_EVERY", 0);
-    if (computeOverride) // else the McOptions VLQ_COMPUTE default holds
-        cfg.mc.compute = *computeOverride;
     if (positional.size() > 2) {
         auto kind = parseDecoderKind(positional[2]);
         if (!kind) {
@@ -216,8 +215,7 @@ main(int argc, char** argv)
     std::cout << "Scanning " << setup.name() << " with " << trials
               << " trials/point using the "
               << decoderKindName(cfg.mc.decoder) << " decoder (batch "
-              << cfg.mc.batchSize << ", compute "
-              << computeKindName(cfg.mc.compute);
+              << cfg.mc.batchSize;
     if (cfg.mc.targetFailures > 0)
         std::cout << ", early-stop at " << cfg.mc.targetFailures
                   << " failures";

@@ -36,9 +36,7 @@ class MwpmDecoder : public Decoder
      * the only scratch left to amortize).
      */
     void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions,
-                     std::span<const uint64_t> laneMask) const override;
-    using Decoder::decodeBatch;
+                     std::span<uint32_t> predictions) const override;
 
     const MatchingGraph& graph() const { return graph_; }
 
@@ -62,9 +60,7 @@ class GreedyDecoder : public Decoder
 
     /** Batched decode reusing the candidate-pair buffer per shot. */
     void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions,
-                     std::span<const uint64_t> laneMask) const override;
-    using Decoder::decodeBatch;
+                     std::span<uint32_t> predictions) const override;
 
     const MatchingGraph& graph() const { return graph_; }
 

@@ -30,19 +30,18 @@ namespace vlq {
  *     vlq-mc-checkpoint 1
  *     fingerprint <16 hex digits>
  *     config <canonical key=value summary of the run configuration>
- *     meta <key>=<value>
+ *     meta <key>=<value>      (legacy: read, never written)
  *     ...
  *     point <16 hex key> trials=<N> failures=<M> done=<0|1>
  *     ...
  *     end <point count>
  *
- * `meta` lines are optional, fingerprint-exempt annotations (written
- * sorted by key): provenance that may legally differ between two
- * resumable runs of the same configuration. The engine records the
- * compute backend here (`meta compute=simd`) because backends are
- * bit-identical by contract -- a run checkpointed under one backend
- * may resume under another, so the backend must not gate resume the
- * way the fingerprint does.
+ * `meta` lines are read-only legacy: builds from before the engine
+ * lost its compute-backend switch wrote one (`meta compute=scalar`).
+ * open() still accepts them under the old rules (one `key=value`
+ * token with a non-empty key) so those files resume, but drops them,
+ * and save() never writes one -- a resumed legacy file is rewritten
+ * byte-identical to a fresh run's.
  *
  * The fingerprint is a hash of the canonical config summary (seed,
  * trial budget, batch size, decoder, early-stop target, and -- for grid
@@ -142,17 +141,6 @@ class McCheckpoint
     /** Fingerprint hash of the bound run configuration. */
     uint64_t fingerprint() const { return fingerprint_; }
 
-    /**
-     * Set a fingerprint-exempt metadata annotation (in memory; save()
-     * persists). Keys and values must be single space-free tokens.
-     * Setting an existing key overwrites it -- meta records the last
-     * run's provenance, not history.
-     */
-    void setMeta(const std::string& key, const std::string& value);
-
-    /** Look up a metadata value ("" when absent). */
-    std::string meta(const std::string& key) const;
-
     /** Look up a point's committed frontier (nullptr when absent). */
     const CheckpointEntry* find(uint64_t pointKey) const;
 
@@ -174,7 +162,6 @@ class McCheckpoint
     std::string path_;
     uint64_t fingerprint_ = 0;
     std::string summary_;
-    std::map<std::string, std::string> meta_;
     std::map<uint64_t, CheckpointEntry> entries_;
 };
 

@@ -11,8 +11,6 @@
 #include <sstream>
 #include <vector>
 
-#include "compute/compute_backend.h"
-#include "compute/compute_registry.h"
 #include "core/generator_registry.h"
 #include "decoder/decoder_factory.h"
 #include "dem/detector_model.h"
@@ -21,12 +19,71 @@
 #include "mc/checkpoint.h"
 #include "obs/obs.h"
 #include "obs/report.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/threadpool.h"
 
 namespace vlq {
+
+namespace {
+
+struct ComputeName
+{
+    ComputeKind kind;
+    const char* name;    // canonical lowercase name
+    const char* aliases; // space-separated alternative spellings
+};
+
+constexpr ComputeName kComputeNames[] = {
+    {ComputeKind::Scalar, "scalar", "reference ref"},
+    {ComputeKind::Simd, "simd", "word-parallel vector"},
+};
+
+} // namespace
+
+std::optional<ComputeKind>
+parseComputeKind(std::string_view name)
+{
+    std::string lowered = asciiLower(name);
+    if (lowered.empty())
+        return std::nullopt;
+    for (const ComputeName& entry : kComputeNames)
+        if (lowered == entry.name
+            || nameListContains(entry.aliases, lowered))
+            return entry.kind;
+    return std::nullopt;
+}
+
+std::string
+computeKindList()
+{
+    std::string out;
+    for (const ComputeName& entry : kComputeNames) {
+        if (!out.empty())
+            out += ", ";
+        out += entry.name;
+    }
+    return out;
+}
+
+ComputeKind
+computeKindFromEnv(ComputeKind fallback, const char* variable)
+{
+    std::string value = envLower(variable, "");
+    if (value.empty())
+        return fallback;
+    std::optional<ComputeKind> kind = parseComputeKind(value);
+    if (!kind) {
+        const std::string msg = std::string(variable) + "=" + value
+            + " is not a compute backend name (valid, deprecated and"
+              " without effect: "
+            + computeKindList() + ")";
+        VLQ_FATAL(msg.c_str());
+    }
+    return *kind;
+}
 
 double
 LogicalErrorPoint::combinedRate() const
@@ -274,15 +331,6 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
     FaultSampler sampler(dem);
 
     std::unique_ptr<Decoder> decoder = makeDecoder(options.decoder, dem);
-    std::unique_ptr<ComputeBackend> compute =
-        makeComputeBackend(options.compute, dem, sampler, *decoder);
-    if (checkpoint.enabled()) {
-        // Record the backend in the checkpoint's fingerprint-exempt
-        // metadata: backends are bit-identical, so a run may legally
-        // resume under a different one -- the recorded name is
-        // provenance, not a compatibility gate.
-        checkpoint.setMeta("compute", compute->name());
-    }
 
     // Distinguish the two bases in the trial RNG stream.
     uint64_t baseSeed = options.seed
@@ -350,11 +398,14 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
                 std::min<uint64_t>(batchSize, trials - begin));
             batch.reset(dem.numDetectors(), dem.numObservables(), count,
                         begin, dem.numErasureSites());
-            compute->sampleBatch(root, batch);
+            sampler.sampleBatchInto(root, batch);
             predictions.resize(count);
-            compute->decodeBatch(batch,
+            decoder->decodeBatch(batch,
                                  std::span<uint32_t>(predictions));
-            compute->countFailures(batch, predictions, failingTrials);
+            failingTrials.clear();
+            for (uint32_t s = 0; s < count; ++s)
+                if (predictions[s] != batch.observables(s))
+                    failingTrials.push_back(begin + s);
             sequencer.submit(b, failingTrials);
         }
     });

@@ -3,14 +3,39 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 
-#include "compute/compute_registry.h"
 #include "core/generator_common.h"
 #include "decoder/decoder_factory.h"
 #include "util/stats.h"
 
 namespace vlq {
+
+/**
+ * Deprecated: the compute backend selector. The engine has one batch
+ * loop (sample -> decode -> count), so every kind runs the same code
+ * and gives the same counts. The names stay accepted so that
+ * `threshold_scan --compute`, `VLQ_COMPUTE` and the scan job
+ * `compute=` key keep their documented spellings; an unknown name is
+ * still a hard error at each of them.
+ */
+enum class ComputeKind : uint8_t { Scalar, Simd };
+
+/** Parse a case-insensitive name or alias back to a kind. */
+std::optional<ComputeKind> parseComputeKind(std::string_view name);
+
+/** Comma-separated canonical names, for usage/error messages. */
+std::string computeKindList();
+
+/**
+ * Read the selection from the environment (variable VLQ_COMPUTE
+ * unless overridden). Returns `fallback` when the variable is unset;
+ * a set-but-unknown value is a hard error that lists the valid names.
+ */
+ComputeKind computeKindFromEnv(ComputeKind fallback,
+                               const char* variable = "VLQ_COMPUTE");
 
 /**
  * Running state streamed to McOptions::progress. All counts are
@@ -60,12 +85,8 @@ struct McOptions
     DecoderKind decoder = DecoderKind::Mwpm;
 
     /**
-     * Compute backend running the batch pipeline (sample -> classify
-     * -> decode -> count failures); see compute/compute_backend.h.
-     * Defaults through VLQ_COMPUTE so the selection is ambient for
-     * every driver; `scalar` (the bit-exact reference) when unset.
-     * Backends are bit-identical by contract, so this is a pure
-     * throughput knob -- like batchSize, it can never change counts.
+     * Deprecated no-op (see ComputeKind). Still defaults through
+     * VLQ_COMPUTE, so a typo'd value there stays a hard error.
      */
     ComputeKind compute = computeKindFromEnv(ComputeKind::Scalar);
 

@@ -2,11 +2,11 @@
 
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
 
-#include "compute/compute_registry.h"
 #include "core/generator_registry.h"
 #include "decoder/decoder_factory.h"
 #include "mc/checkpoint.h"
@@ -69,16 +69,19 @@ bool
 applyKeyValue(ScanJob& job, const std::string& key,
               const std::string& value, std::string* error)
 {
-    auto needInt = [&](int64_t lo, int64_t hi,
-                       int64_t* out) {
-        auto parsed = parseInt64(value);
+    auto needIntIn = [&](const std::string& text, int64_t lo,
+                         int64_t hi, int64_t* out) {
+        auto parsed = parseInt64(text);
         if (!parsed || *parsed < lo || *parsed > hi)
-            return fail(error, "bad value for '" + key + "': '" + value
+            return fail(error, "bad value for '" + key + "': '" + text
                         + "' (expected an integer in ["
                         + std::to_string(lo) + ", " + std::to_string(hi)
                         + "])");
         *out = *parsed;
         return true;
+    };
+    auto needInt = [&](int64_t lo, int64_t hi, int64_t* out) {
+        return needIntIn(value, lo, hi, out);
     };
     int64_t n = 0;
     if (key == "id") {
@@ -109,11 +112,9 @@ applyKeyValue(ScanJob& job, const std::string& key,
     if (key == "distances") {
         job.distances.clear();
         for (const std::string& field : splitCommas(value)) {
-            auto parsed = parseInt64(field);
-            if (!parsed)
-                return fail(error, "bad value for 'distances': '" + field
-                            + "' is not an integer");
-            job.distances.push_back(static_cast<int>(*parsed));
+            if (!needIntIn(field, INT_MIN, INT_MAX, &n))
+                return false;
+            job.distances.push_back(static_cast<int>(n));
         }
         return true;
     }
@@ -301,12 +302,6 @@ jobScanConfig(const ScanJob& job)
     cfg.mc.decoder = *decoder;
     cfg.mc.batchSize = job.batchSize;
     cfg.mc.targetFailures = job.targetFailures;
-    if (!job.compute.empty()) {
-        auto compute = parseComputeKind(job.compute);
-        if (!compute)
-            VLQ_FATAL("jobScanConfig on unvalidated job: bad compute");
-        cfg.mc.compute = *compute;
-    } // else keep the McOptions default (VLQ_COMPUTE ambient)
     return cfg;
 }
 

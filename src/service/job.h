@@ -64,12 +64,8 @@ struct ScanJob
     uint64_t targetFailures = 0;
 
     /**
-     * Compute backend name ("scalar", "simd"), or empty to inherit
-     * the server's ambient default (the VLQ_COMPUTE environment
-     * variable via McOptions). Backends are bit-identical by
-     * contract, so this is a throughput knob, not part of the job's
-     * checkpoint fingerprint -- a job checkpointed under one backend
-     * resumes under another.
+     * Deprecated no-op: a compute backend name ("scalar", "simd") or
+     * empty. Validated and echoed on the request line, never used.
      */
     std::string compute;
 

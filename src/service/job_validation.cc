@@ -3,11 +3,11 @@
 #include <set>
 #include <sstream>
 
-#include "compute/compute_registry.h"
 #include "core/generator_common.h"
 #include "core/generator_registry.h"
 #include "decoder/decoder_factory.h"
 #include "mc/memory_experiment.h"
+#include "mc/monte_carlo.h"
 #include "util/env.h"
 
 namespace vlq {
@@ -121,11 +121,11 @@ validateJob(const ScanJob& job)
     if (!parseDecoderKind(job.decoder))
         bad("unknown decoder '" + job.decoder
             + "'; registered decoders: " + decoderKindList());
-    // Empty means "inherit the server's ambient default" -- only an
-    // explicit name must resolve.
+    // Deprecated no-op key: empty is fine, an explicit name must
+    // still be one of the accepted spellings.
     if (!job.compute.empty() && !parseComputeKind(job.compute))
         bad("unknown compute backend '" + job.compute
-            + "'; registered backends: " + computeKindList());
+            + "'; valid (deprecated, no effect): " + computeKindList());
 
     return problems;
 }

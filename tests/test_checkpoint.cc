@@ -147,6 +147,15 @@ TEST(Checkpoint, RejectsCorrupt)
                     "end 1\n");
     std::string countErr = c.open(path, "seed=1");
     EXPECT_NE(countErr.find("failures > trials"), std::string::npos);
+
+    // The end line is as strict as every other line: no trailing
+    // tokens after the count.
+    writeFile(path, header +
+                    "point 0000000000000007 trials=10 failures=2 done=0\n"
+                    "end 1 junk\n");
+    std::string endErr = c.open(path, "seed=1");
+    EXPECT_NE(endErr.find("trailing junk on line 5"), std::string::npos)
+        << endErr;
     removeFile(path);
 }
 
@@ -425,6 +434,60 @@ TEST(CheckpointResume, ResumeWithDifferentBatchSizeStillBitIdentical)
     EXPECT_EQ(est.successes, reference.successes);
     EXPECT_EQ(est.trials, reference.trials);
     removeFile(path);
+}
+
+TEST(CheckpointResume, LegacyMetaLineResumesToAFreshRunsBytes)
+{
+    // Older builds recorded a compute backend in a `meta` line. Such a
+    // file must still resume to the uninterrupted counts, and the
+    // rewritten file must be exactly what a fresh run writes.
+    GeneratorConfig cfg = ckptConfig(3, 9e-3);
+    McOptions options;
+    options.trials = 600;
+    options.seed = 2468;
+    options.batchSize = 64;
+
+    BinomialEstimate reference;
+    std::vector<McProgress> snapshots = collectSnapshots(
+        EmbeddingKind::Baseline2D, cfg, options, reference);
+    ASSERT_GT(snapshots.size(), 2u);
+    const McProgress& half = snapshots[snapshots.size() / 2 - 1];
+    ASSERT_LT(half.trialsDone, reference.trials);
+
+    std::string freshPath = tmpPath("legacy_fresh.ckpt");
+    removeFile(freshPath);
+    McOptions fresh = options;
+    fresh.checkpointPath = freshPath;
+    BinomialEstimate freshEst = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, fresh);
+    EXPECT_EQ(freshEst.successes, reference.successes);
+    const std::string freshText = readFile(freshPath);
+
+    const std::string summary = mcRunFingerprintSummary(options);
+    std::string legacyPath = tmpPath("legacy_meta.ckpt");
+    removeFile(legacyPath);
+    writeFile(legacyPath,
+              "vlq-mc-checkpoint 1\nfingerprint "
+                  + hex16(fnv1a64(summary)) + "\nconfig " + summary
+                  + "\nmeta compute=simd\npoint "
+                  + hex16(checkpointPointKey(EmbeddingKind::Baseline2D,
+                                             cfg))
+                  + " trials=" + std::to_string(half.trialsDone)
+                  + " failures=" + std::to_string(half.failures)
+                  + " done=0\nend 1\n");
+
+    McOptions resumed = options;
+    resumed.checkpointPath = legacyPath;
+    BinomialEstimate est = estimateLogicalErrorBasis(
+        EmbeddingKind::Baseline2D, cfg, resumed);
+    EXPECT_EQ(est.successes, reference.successes);
+    EXPECT_EQ(est.trials, reference.trials);
+
+    const std::string resumedText = readFile(legacyPath);
+    EXPECT_EQ(resumedText.find("meta"), std::string::npos);
+    EXPECT_EQ(resumedText, freshText);
+    removeFile(freshPath);
+    removeFile(legacyPath);
 }
 
 TEST(CheckpointResume, DonePointSkipsSampling)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 
 #include "mc/memory_experiment.h"
 #include "mc/monte_carlo.h"
@@ -137,6 +138,44 @@ TEST(MonteCarlo, RectangularProtectsTheTallBasis)
         estimateLogicalError(EmbeddingKind::CompactRect, cfg, opt);
     EXPECT_LT(pt.basisZ.rate(), pt.basisX.rate());
     EXPECT_GT(pt.basisX.successes, 0u);
+}
+
+// The compute selector is a deprecated no-op, but its names and
+// aliases must keep parsing and a typo must stay a hard error.
+TEST(ComputeRegistry, RoundTripsNamesAliasesAndKinds)
+{
+    EXPECT_EQ(parseComputeKind("scalar"), ComputeKind::Scalar);
+    EXPECT_EQ(parseComputeKind("simd"), ComputeKind::Simd);
+    EXPECT_EQ(parseComputeKind("SIMD"), ComputeKind::Simd);
+    EXPECT_EQ(parseComputeKind("Scalar"), ComputeKind::Scalar);
+    EXPECT_EQ(parseComputeKind("ref"), ComputeKind::Scalar);
+    EXPECT_EQ(parseComputeKind("reference"), ComputeKind::Scalar);
+    EXPECT_EQ(parseComputeKind("vector"), ComputeKind::Simd);
+    EXPECT_EQ(parseComputeKind("word-parallel"), ComputeKind::Simd);
+    EXPECT_FALSE(parseComputeKind("gpu").has_value());
+    EXPECT_FALSE(parseComputeKind("").has_value());
+    EXPECT_EQ(computeKindList(), "scalar, simd");
+}
+
+TEST(ComputeRegistry, EnvKnobSelectsBackendOrDiesOnTypos)
+{
+    ::setenv("VLQ_COMPUTE_TESTVAR", "simd", 1);
+    EXPECT_EQ(computeKindFromEnv(ComputeKind::Scalar,
+                                 "VLQ_COMPUTE_TESTVAR"),
+              ComputeKind::Simd);
+    ::unsetenv("VLQ_COMPUTE_TESTVAR");
+    EXPECT_EQ(computeKindFromEnv(ComputeKind::Scalar,
+                                 "VLQ_COMPUTE_TESTVAR"),
+              ComputeKind::Scalar);
+    // A typo'd value must be a hard error listing the valid names,
+    // never a silent fallback.
+    ::setenv("VLQ_COMPUTE_TESTVAR", "smid", 1);
+    EXPECT_EXIT(computeKindFromEnv(ComputeKind::Scalar,
+                                   "VLQ_COMPUTE_TESTVAR"),
+                ::testing::ExitedWithCode(1),
+                "not a compute backend name \\(valid, deprecated and "
+                "without effect: scalar, simd\\)");
+    ::unsetenv("VLQ_COMPUTE_TESTVAR");
 }
 
 TEST(Setups, PaperListAndNames)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "core/generator_common.h"
@@ -683,6 +684,42 @@ TEST(UnionFindErasureTest, BatchDecodeMatchesScalarWithErasures)
         scalarHeralds += era.popcount();
     }
     EXPECT_GT(scalarHeralds, 0u);
+}
+
+TEST(UnionFindErasureTest, DecodeIsIndependentOfThreadHistory)
+{
+    // The decoder's scratch is per thread and outlives a shot. Erasure
+    // seeding grows defect-free clusters too; none of their state may
+    // leak into a later shot, or counts would depend on which worker
+    // thread decoded which trials before.
+    GeneratorConfig cfg = configFor(5, 8e-3,
+                                    ExtractionSchedule::AllAtOnce);
+    cfg.noise.erasure.fraction = 1.0;
+    GeneratedCircuit gen = generateBaselineMemory(cfg);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    FaultSampler sampler(dem);
+    UnionFindDecoder uf(dem);
+
+    const uint32_t shots = 256;
+    ShotBatch batch;
+    batch.reset(dem.numDetectors(), dem.numObservables(), shots, 0,
+                dem.numErasureSites());
+    sampler.sampleBatchInto(Rng(0x5eed), batch);
+    std::vector<uint32_t> predictions(shots);
+    uf.decodeBatch(batch, predictions);
+
+    BitVec det(dem.numDetectors());
+    for (uint32_t s = 0; s < shots; ++s) {
+        batch.extractShot(s, det);
+        BitVec era(dem.numErasureSites());
+        for (uint32_t site = 0; site < dem.numErasureSites(); ++site)
+            if (batch.erased(s, site))
+                era.set(site, true);
+        uint32_t fresh = 0;
+        std::thread([&] { fresh = uf.decodeWithErasures(det, era); })
+            .join();
+        EXPECT_EQ(predictions[s], fresh) << "shot " << s;
+    }
 }
 
 TEST(UnionFindErasureTest, HeraldedErasureLowersLogicalError)

@@ -46,7 +46,7 @@ fires on its fixture corpus under tools/invariant_fixtures/):
                        which is user dialogue, not library logging).
 
   registry-docs        Every name registered in the decoder /
-                       embedding / compute registries must appear in
+                       embedding registries must appear in
                        README.md and docs/job-protocol.md, and -- when
                        --help-bin points at built binaries -- in some
                        binary's --help output. Registries grow by
@@ -79,10 +79,9 @@ SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
 REGISTRY_SOURCES = (
     "src/decoder/decoder_factory.cc",
     "src/core/generator_registry.cc",
-    "src/compute/compute_registry.cc",
 )
 REGISTRY_NAME_RE = re.compile(
-    r"\{(?:DecoderKind|EmbeddingKind|ComputeKind)::\w+,\s*\n?\s*"
+    r"\{(?:DecoderKind|EmbeddingKind)::\w+,\s*\n?\s*"
     r"\"(?P<name>[^\"]+)\"")
 REGISTRY_DOC_TARGETS = ("README.md", "docs/job-protocol.md")
 

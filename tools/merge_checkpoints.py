@@ -18,7 +18,9 @@ reporting: summed trials and failures per point), after verifying that
 
 The merged file records `seed=merged:<s1>,<s2>,...` and a fingerprint
 recomputed over the merged summary; it is a reporting artifact, not a
-resume point for further sampling.
+resume point for further sampling. Legacy `meta key=value` lines,
+which older builds wrote after the config line, are validated like
+the C++ loader does and left out of the merged file.
 
 Usage:
     merge_checkpoints.py --out merged.ckpt shard1.ckpt shard2.ckpt ...
@@ -85,6 +87,13 @@ def load_shard(path):
     i = 3
     while i < len(lines) and not lines[i].startswith("end"):
         tokens = lines[i].split()
+        if tokens[:1] == ["meta"]:
+            # Legacy provenance line (`meta compute=scalar`), accepted
+            # under the C++ loader's rules and left out of the merge.
+            if len(tokens) != 2 or tokens[1].find("=") < 1:
+                reject(path, f"malformed meta line {i + 1}")
+            i += 1
+            continue
         if len(tokens) != 5 or tokens[0] != "point":
             reject(path, f"malformed line {i + 1}: {lines[i]!r}")
         key = tokens[1]
