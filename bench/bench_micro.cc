@@ -1,8 +1,9 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the simulation hot paths:
- * DEM construction, fault sampling, decoding graph construction, and
- * MWPM decoding at realistic event densities.
+ * the per-point setup stages (DEM, sampler and decoder construction),
+ * fault sampling, decoding graph construction, and MWPM decoding at
+ * realistic event densities.
  */
 #include <benchmark/benchmark.h>
 
@@ -44,18 +45,60 @@ BM_GenerateCompact(benchmark::State& state)
 }
 BENCHMARK(BM_GenerateCompact)->Arg(3)->Arg(5);
 
+/**
+ * The memory circuit of a setup-stage case: the 2D baseline, or with
+ * `compact` the Compact-Interleaved VLQ embedding (paper setup 4).
+ */
+GeneratedCircuit
+setupCircuit(int d, bool compact)
+{
+    GeneratorConfig cfg = benchConfig(d, 2e-3);
+    if (!compact)
+        return generateBaselineMemory(cfg);
+    cfg.schedule = ExtractionSchedule::Interleaved;
+    return generateCompactMemory(cfg);
+}
+
 void
 BM_BuildDem(benchmark::State& state)
 {
-    GeneratorConfig cfg = benchConfig(static_cast<int>(state.range(0)),
-                                      2e-3);
-    GeneratedCircuit gen = generateBaselineMemory(cfg);
+    GeneratedCircuit gen = setupCircuit(static_cast<int>(state.range(0)),
+                                        state.range(1) != 0);
     for (auto _ : state) {
         DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
         benchmark::DoNotOptimize(dem.channels().size());
     }
 }
-BENCHMARK(BM_BuildDem)->Arg(3)->Arg(5)->Arg(7);
+BENCHMARK(BM_BuildDem)
+    ->ArgNames({"d", "compact"})
+    ->ArgsProduct({{3, 5, 7}, {0, 1}});
+
+void
+BM_BuildSampler(benchmark::State& state)
+{
+    GeneratedCircuit gen =
+        setupCircuit(static_cast<int>(state.range(0)), false);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    for (auto _ : state) {
+        FaultSampler sampler(dem);
+        benchmark::DoNotOptimize(sampler.numDetectors());
+    }
+}
+BENCHMARK(BM_BuildSampler)->Arg(3)->Arg(5)->Arg(7);
+
+/** Union-find decoder init: decoding-graph build plus decoder tables. */
+void
+BM_BuildUnionFind(benchmark::State& state)
+{
+    GeneratedCircuit gen =
+        setupCircuit(static_cast<int>(state.range(0)), false);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    for (auto _ : state) {
+        UnionFindDecoder decoder(dem);
+        benchmark::DoNotOptimize(decoder.graph().edges().size());
+    }
+}
+BENCHMARK(BM_BuildUnionFind)->Arg(3)->Arg(5)->Arg(7);
 
 void
 BM_Sample(benchmark::State& state)

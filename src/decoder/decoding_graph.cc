@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <unordered_set>
 
 namespace vlq {
 
@@ -78,36 +78,36 @@ DecodingGraph::addContribution(uint32_t a, uint32_t b, double probability,
 void
 DecodingGraph::finalize()
 {
+    // CSR adjacency by counting: each node's slots list its incident
+    // edges in ascending edge order (a self-loop occupies one slot).
+    const uint32_t n = numNodes();
+    const uint32_t m = static_cast<uint32_t>(edges_.size());
     minWeight_ = 0.0;
-    adjacency_.assign(numNodes(), {});
-    for (uint32_t i = 0; i < edges_.size(); ++i) {
-        DecodingEdge& e = edges_[i];
+    soa_.vertexBegin.assign(n + 1, 0);
+    for (DecodingEdge& e : edges_) {
         e.weight = weightOf(e.probability);
-        adjacency_[e.a].push_back(i);
+        ++soa_.vertexBegin[e.a + 1];
         if (e.b != e.a)
-            adjacency_[e.b].push_back(i);
+            ++soa_.vertexBegin[e.b + 1];
         if (minWeight_ == 0.0 || e.weight < minWeight_)
             minWeight_ = e.weight;
     }
-
-    // Mirror into the structure-of-arrays view in identical order.
-    const uint32_t n = numNodes();
-    const uint32_t m = static_cast<uint32_t>(edges_.size());
-    soa_.vertexBegin.assign(n + 1, 0);
     for (uint32_t v = 0; v < n; ++v)
-        soa_.vertexBegin[v + 1] =
-            soa_.vertexBegin[v]
-            + static_cast<uint32_t>(adjacency_[v].size());
+        soa_.vertexBegin[v + 1] += soa_.vertexBegin[v];
     const uint32_t slots = soa_.vertexBegin[n];
     soa_.slotEdge.resize(slots);
     soa_.slotOther.resize(slots);
-    for (uint32_t v = 0; v < n; ++v) {
-        uint32_t at = soa_.vertexBegin[v];
-        for (uint32_t e : adjacency_[v]) {
-            soa_.slotEdge[at] = e;
-            soa_.slotOther[at] =
-                edges_[e].a == v ? edges_[e].b : edges_[e].a;
-            ++at;
+    std::vector<uint32_t> cursor(soa_.vertexBegin.begin(),
+                                 soa_.vertexBegin.end() - 1);
+    for (uint32_t i = 0; i < m; ++i) {
+        const DecodingEdge& e = edges_[i];
+        uint32_t at = cursor[e.a]++;
+        soa_.slotEdge[at] = i;
+        soa_.slotOther[at] = e.b;
+        if (e.b != e.a) {
+            at = cursor[e.b]++;
+            soa_.slotEdge[at] = i;
+            soa_.slotOther[at] = e.a;
         }
     }
     soa_.edgeA.resize(m);
@@ -127,28 +127,38 @@ DecodingGraph::build(const DetectorErrorModel& dem)
 {
     DecodingGraph g(dem.numDetectors());
     const uint32_t boundary = g.boundaryNode();
+    auto pairKey = [](uint32_t a, uint32_t b) {
+        return (static_cast<uint64_t>(std::min(a, b)) << 32)
+            | std::max(a, b);
+    };
 
-    // Pass 1: note the pairs/boundary hits that known fault outcomes
-    // produce, so correlated (>2 detector) outcomes can be decomposed
-    // into edges the graph already understands.
-    std::set<std::pair<uint32_t, uint32_t>> knownPairs;
-    std::set<uint32_t> knownBoundary;
-    for (const auto& ch : dem.channels()) {
-        for (const auto& o : ch.outcomes) {
-            if (o.detectors.size() == 1) {
-                knownBoundary.insert(o.detectors[0]);
-            } else if (o.detectors.size() == 2) {
-                uint32_t a = o.detectors[0];
-                uint32_t b = o.detectors[1];
-                knownPairs.insert({std::min(a, b), std::max(a, b)});
-            }
+    // The pairs/boundary hits that known fault outcomes produce, so
+    // correlated (>2 detector) outcomes can be decomposed into edges
+    // the graph already understands. Both are membership tests only: a
+    // per-detector byte map and a hash set of pair keys. They span the
+    // whole model, so they are collected in one pass over it the first
+    // time a correlated outcome needs them (many circuits have none).
+    std::vector<uint8_t> knownBoundary;
+    std::unordered_set<uint64_t> knownPairs;
+    auto collectKnown = [&] {
+        knownBoundary.assign(dem.numDetectors(), 0);
+        size_t pairOutcomes = 0;
+        for (const FaultOutcome& o : dem.outcomeArray())
+            pairOutcomes += o.detEnd - o.detBegin == 2;
+        knownPairs.reserve(pairOutcomes);
+        for (const FaultOutcome& o : dem.outcomeArray()) {
+            std::span<const uint32_t> dets = dem.detectors(o);
+            if (dets.size() == 1)
+                knownBoundary[dets[0]] = 1;
+            else if (dets.size() == 2)
+                knownPairs.insert(pairKey(dets[0], dets[1]));
         }
-    }
+    };
 
-    // Pass 2: accumulate every outcome into edges. Outcomes of ONE
-    // channel are mutually exclusive, so same-signature outcomes within
-    // a channel sum exactly (e.g. the X and Y branches of a depolarizing
-    // event often land on the same edge); only the per-channel
+    // Accumulate every outcome into edges. Outcomes of ONE channel are
+    // mutually exclusive, so same-signature outcomes within a channel
+    // sum exactly (e.g. the X and Y branches of a depolarizing event
+    // often land on the same edge); only the per-channel
     // aggregates combine with the independent-flip XOR rule
     // p = p1(1-p2) + p2(1-p1) in addContribution. Feeding exclusive
     // outcomes through the XOR rule undercounts -- measurably so in
@@ -161,8 +171,13 @@ DecodingGraph::build(const DetectorErrorModel& dem)
         double best;        // largest single contribution
         uint32_t observables;
     };
+    // Circuit-level detector graphs have at most about five edges per
+    // detector; reserving past that keeps insertion rehash-free.
+    g.edgeIndex_.reserve(size_t{8} * dem.numDetectors());
     std::vector<ExclusivePiece> pieces1and2;
-    for (const auto& ch : dem.channels()) {
+    std::vector<uint32_t> rest;
+    std::vector<std::pair<uint32_t, uint32_t>> pieces;
+    for (const FaultChannel& ch : dem.channels()) {
         pieces1and2.clear();
         auto accumulate = [&](uint32_t a, uint32_t b, double p,
                               uint32_t obs) {
@@ -180,29 +195,30 @@ DecodingGraph::build(const DetectorErrorModel& dem)
             }
             pieces1and2.push_back(ExclusivePiece{a, b, p, p, obs});
         };
-        for (const auto& o : ch.outcomes) {
-            if (o.detectors.empty()) {
+        for (const FaultOutcome& o : dem.outcomes(ch)) {
+            std::span<const uint32_t> dets = dem.detectors(o);
+            if (dets.empty()) {
                 continue; // pure observable flips are undetectable
-            } else if (o.detectors.size() == 1) {
-                accumulate(o.detectors[0], boundary, o.probability,
+            } else if (dets.size() == 1) {
+                accumulate(dets[0], boundary, o.probability,
                            o.observables);
-            } else if (o.detectors.size() == 2) {
-                accumulate(o.detectors[0], o.detectors[1],
-                           o.probability, o.observables);
+            } else if (dets.size() == 2) {
+                accumulate(dets[0], dets[1], o.probability,
+                           o.observables);
             } else {
                 // Decompose into known pairs; leftovers pair arbitrarily.
-                std::vector<uint32_t> rest(o.detectors.begin(),
-                                           o.detectors.end());
-                std::vector<std::pair<uint32_t, uint32_t>> pieces;
+                if (knownBoundary.empty())
+                    collectKnown();
+                rest.assign(dets.begin(), dets.end());
+                pieces.clear();
                 bool usedKnown = false;
                 for (size_t i = 0; i < rest.size();) {
                     bool found = false;
                     for (size_t j = i + 1; j < rest.size(); ++j) {
-                        auto key = std::make_pair(
-                            std::min(rest[i], rest[j]),
-                            std::max(rest[i], rest[j]));
-                        if (knownPairs.count(key)) {
-                            pieces.push_back(key);
+                        if (knownPairs.count(pairKey(rest[i], rest[j]))) {
+                            pieces.push_back(
+                                {std::min(rest[i], rest[j]),
+                                 std::max(rest[i], rest[j])});
                             rest.erase(rest.begin()
                                        + static_cast<long>(j));
                             rest.erase(rest.begin()
@@ -216,6 +232,8 @@ DecodingGraph::build(const DetectorErrorModel& dem)
                         ++i;
                 }
                 // Leftovers: pair consecutively, odd one to boundary.
+                // Any arbitrary pair makes the decomposition forced; a
+                // known boundary edge for the odd one does not undo that.
                 bool forced = false;
                 for (size_t i = 0; i + 1 < rest.size(); i += 2) {
                     pieces.push_back({std::min(rest[i], rest[i + 1]),
@@ -224,7 +242,7 @@ DecodingGraph::build(const DetectorErrorModel& dem)
                 }
                 if (rest.size() % 2 == 1) {
                     pieces.push_back({rest.back(), boundary});
-                    forced = !knownBoundary.count(rest.back());
+                    forced = forced || !knownBoundary[rest.back()];
                 }
                 if (forced)
                     ++g.stats_.forcedPairings;

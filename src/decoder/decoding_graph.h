@@ -2,6 +2,7 @@
 #define VLQ_DECODER_DECODING_GRAPH_H
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -79,10 +80,15 @@ class DecodingGraph
 
     const std::vector<DecodingEdge>& edges() const { return edges_; }
 
-    /** Indices into edges() of the edges incident to node v. */
-    const std::vector<uint32_t>& incidentEdges(uint32_t v) const
+    /**
+     * Indices into edges() of the edges incident to node v, ascending
+     * (a view of the SoA adjacency below).
+     */
+    std::span<const uint32_t> incidentEdges(uint32_t v) const
     {
-        return adjacency_[v];
+        return std::span<const uint32_t>(soa_.slotEdge)
+            .subspan(soa_.vertexBegin[v],
+                     soa_.vertexBegin[v + 1] - soa_.vertexBegin[v]);
     }
 
     /** The endpoint of edge e that is not v. */
@@ -99,13 +105,13 @@ class DecodingGraph
     int32_t findEdge(uint32_t a, uint32_t b) const;
 
     /**
-     * Structure-of-arrays mirror of edges() + incidentEdges(), rebuilt
-     * by finalize(). Hot decoder loops (union-find growth, Dijkstra
+     * Structure-of-arrays adjacency and edge fields, rebuilt by
+     * finalize(). Hot decoder loops (union-find growth, Dijkstra
      * searches, forest peeling) walk these contiguous arrays instead of
-     * chasing vector<vector> adjacency lists and 40-byte edge structs.
-     * Slot order matches incidentEdges() exactly and the per-edge
-     * arrays are parallel to edges(), so iteration-order-dependent
-     * tie-breaks (and therefore decoder output) are unchanged.
+     * 40-byte edge structs. Each node's slots list its incident edges
+     * in ascending edge order and the per-edge arrays are parallel to
+     * edges(), so iteration-order-dependent tie-breaks (and therefore
+     * decoder output) follow edge insertion order.
      */
     struct SoA
     {
@@ -135,7 +141,6 @@ class DecodingGraph
   private:
     uint32_t numDetectors_ = 0;
     std::vector<DecodingEdge> edges_;
-    std::vector<std::vector<uint32_t>> adjacency_;
     SoA soa_;
     std::vector<double> bestContribution_; // per edge, for obs arbitration
     double minWeight_ = 0.0;

@@ -255,12 +255,13 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel& dem,
             continue;
         auto& edges =
             erasureSiteEdges_[static_cast<uint32_t>(ch.erasureSite)];
-        for (const auto& o : ch.outcomes) {
+        for (const FaultOutcome& o : dem.outcomes(ch)) {
+            std::span<const uint32_t> dets = dem.detectors(o);
             int32_t e = -1;
-            if (o.detectors.size() == 1)
-                e = graph_.findEdge(o.detectors[0], boundary);
-            else if (o.detectors.size() == 2)
-                e = graph_.findEdge(o.detectors[0], o.detectors[1]);
+            if (dets.size() == 1)
+                e = graph_.findEdge(dets[0], boundary);
+            else if (dets.size() == 2)
+                e = graph_.findEdge(dets[0], dets[1]);
             if (e < 0)
                 continue;
             uint32_t eu = static_cast<uint32_t>(e);

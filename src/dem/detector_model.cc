@@ -1,14 +1,14 @@
 #include "dem/detector_model.h"
 
 #include <algorithm>
+#include <bit>
 
-#include "pauli/bitvec.h"
 #include "util/logging.h"
 
 namespace vlq {
 
 double
-FaultChannel::totalProbability() const
+DetectorErrorModel::totalProbability(const FaultChannel& ch) const
 {
     // Outcomes of one channel are mutually exclusive physical events, so
     // exclusive summation is exact here. The XOR combination rule
@@ -16,7 +16,7 @@ FaultChannel::totalProbability() const
     // and lives in DecodingGraph, where contributions from different
     // channels meet on a shared edge.
     double p = 0.0;
-    for (const auto& o : outcomes)
+    for (const FaultOutcome& o : outcomes(ch))
         p += o.probability;
     VLQ_ASSERT(p <= 1.0 + 1e-9, "fault channel mass exceeds 1");
     return p;
@@ -24,19 +24,33 @@ FaultChannel::totalProbability() const
 
 namespace {
 
-/** Convert a signature bit vector into a FaultOutcome (or empty). */
-FaultOutcome
-toOutcome(const BitVec& sig, uint32_t numDetectors, double probability)
+/** Upper bound on the outcomes one operation can contribute. */
+size_t
+maxOutcomes(OpCode code)
 {
-    FaultOutcome out;
-    out.probability = probability;
-    for (uint32_t bit : sig.onesIndices()) {
-        if (bit < numDetectors)
-            out.detectors.push_back(bit);
-        else
-            out.observables |= 1u << (bit - numDetectors);
+    switch (code) {
+      case OpCode::MEASURE_Z:
+      case OpCode::X_ERROR:
+      case OpCode::Y_ERROR:
+      case OpCode::Z_ERROR:
+        return 1;
+      case OpCode::DEPOLARIZE1:
+      case OpCode::PAULI_CHANNEL_1:
+        return 3;
+      case OpCode::HERALDED_ERASE:
+        return 4;
+      case OpCode::DEPOLARIZE2:
+        return 15;
+      default:
+        return 0;
     }
-    return out;
+}
+
+/** All-ones when `on`, else zero: selects a row in a branch-free XOR. */
+constexpr uint64_t
+wordMask(bool on)
+{
+    return on ? ~uint64_t{0} : 0;
 }
 
 } // namespace
@@ -45,63 +59,104 @@ DetectorErrorModel
 DetectorErrorModel::build(const Circuit& circuit)
 {
     DetectorErrorModel dem;
-    dem.numDetectors_ = static_cast<uint32_t>(circuit.detectors().size());
+    const uint32_t numDet = static_cast<uint32_t>(circuit.detectors().size());
+    dem.numDetectors_ = numDet;
     dem.numObservables_ =
         static_cast<uint32_t>(circuit.observables().size());
     VLQ_ASSERT(dem.numObservables_ <= 32, "too many observables");
 
+    dem.meta_.reserve(numDet);
     for (const auto& d : circuit.detectors())
         dem.meta_.push_back(DetectorMeta{d.basis, d.x, d.y, d.t});
 
-    const uint32_t width = dem.numDetectors_ + dem.numObservables_;
+    // Signatures are bit rows over detectors then observables.
+    const uint32_t width = numDet + dem.numObservables_;
+    const size_t words = (size_t{width} + 63) / 64;
     const uint32_t nQubits = circuit.numQubits();
+    auto flipBit = [](uint64_t* row, uint32_t bit) {
+        row[bit / 64] ^= uint64_t{1} << (bit % 64);
+    };
 
-    // detSet[m]: which detectors/observables contain measurement m.
-    std::vector<BitVec> detSet(circuit.numMeasurements(), BitVec(width));
-    for (uint32_t d = 0; d < circuit.detectors().size(); ++d)
+    // measSig row m: which detectors/observables contain measurement m.
+    std::vector<uint64_t> measSig(size_t{circuit.numMeasurements()} * words);
+    for (uint32_t d = 0; d < numDet; ++d)
         for (uint32_t m : circuit.detectors()[d].measurements)
-            detSet[m].flip(d);
-    for (uint32_t o = 0; o < circuit.observables().size(); ++o)
+            flipBit(measSig.data() + m * words, d);
+    for (uint32_t o = 0; o < dem.numObservables_; ++o)
         for (uint32_t m : circuit.observables()[o].measurements)
-            detSet[m].flip(dem.numDetectors_ + o);
+            flipBit(measSig.data() + m * words, numDet + o);
 
-    // Backward sensitivity sets: dx[q] = detectors flipped by an X error
-    // on q at the current (reverse) position; dz likewise.
-    std::vector<BitVec> dx(nQubits, BitVec(width));
-    std::vector<BitVec> dz(nQubits, BitVec(width));
+    // Backward sensitivity sets, one contiguous numQubits x 2 x words
+    // array: rows xRow[q] and zRow[q] hold the detectors flipped by an
+    // X or Z error on q at the current (reverse) position. H and SWAP
+    // permute the row indices instead of moving words.
+    std::vector<uint64_t> sens(size_t{2} * nQubits * words);
+    std::vector<uint32_t> xRow(nQubits);
+    std::vector<uint32_t> zRow(nQubits);
+    for (uint32_t q = 0; q < nQubits; ++q) {
+        xRow[q] = q;
+        zRow[q] = nQubits + q;
+    }
+    auto dx = [&](uint32_t q) { return sens.data() + xRow[q] * words; };
+    auto dz = [&](uint32_t q) { return sens.data() + zRow[q] * words; };
+    auto xorInto = [words](uint64_t* dst, const uint64_t* src) {
+        for (size_t w = 0; w < words; ++w)
+            dst[w] ^= src[w];
+    };
 
-    BitVec scratch(width);
     const auto& ops = circuit.ops();
+    size_t outcomeBound = 0;
+    for (const Operation& op : ops)
+        outcomeBound += maxOutcomes(op.code);
+    dem.outcomes_.reserve(outcomeBound);
+
+    // Append one outcome whose signature word w is sigWord(w), writing
+    // its set bits straight into the flat arrays. Empty signatures are
+    // dropped unless keepEmpty (heralded channels).
+    auto emit = [&](double p, bool keepEmpty, auto&& sigWord) {
+        FaultOutcome o;
+        o.probability = p;
+        o.detBegin = static_cast<uint32_t>(dem.detectors_.size());
+        for (size_t w = 0; w < words; ++w) {
+            for (uint64_t bits = sigWord(w); bits != 0; bits &= bits - 1) {
+                const uint32_t bit = static_cast<uint32_t>(
+                    w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+                if (bit < numDet)
+                    dem.detectors_.push_back(bit);
+                else
+                    o.observables |= 1u << (bit - numDet);
+            }
+        }
+        o.detEnd = static_cast<uint32_t>(dem.detectors_.size());
+        if (keepEmpty || o.detEnd != o.detBegin || o.observables != 0)
+            dem.outcomes_.push_back(o);
+    };
+
     for (size_t idx = ops.size(); idx-- > 0;) {
         const Operation& op = ops[idx];
+        const uint32_t outBegin = static_cast<uint32_t>(dem.outcomes_.size());
+        bool heralded = false;
         switch (op.code) {
           case OpCode::MEASURE_Z: {
             // An X error before the measurement flips the record (and
             // persists). Record-flip noise is its own channel.
-            uint32_t m = static_cast<uint32_t>(op.meas);
-            dx[op.q0] ^= detSet[m];
-            if (op.p > 0.0) {
-                FaultChannel ch;
-                ch.opIndex = static_cast<uint32_t>(idx);
-                FaultOutcome o = toOutcome(detSet[m], dem.numDetectors_,
-                                           op.p);
-                if (!o.detectors.empty() || o.observables != 0)
-                    ch.outcomes.push_back(std::move(o));
-                if (!ch.outcomes.empty())
-                    dem.channels_.push_back(std::move(ch));
-            }
+            const uint64_t* sig = measSig.data()
+                + static_cast<uint32_t>(op.meas) * words;
+            xorInto(dx(op.q0), sig);
+            if (op.p > 0.0)
+                emit(op.p, false, [&](size_t w) { return sig[w]; });
             break;
           }
           case OpCode::RESET:
-            dx[op.q0].clear();
-            dz[op.q0].clear();
+            std::fill_n(dx(op.q0), words, 0);
+            std::fill_n(dz(op.q0), words, 0);
             break;
           case OpCode::H:
-            std::swap(dx[op.q0], dz[op.q0]);
+            std::swap(xRow[op.q0], zRow[op.q0]);
             break;
           case OpCode::S:
             // X before S becomes Y after: sensitive to both sets.
-            dx[op.q0] ^= dz[op.q0];
+            xorInto(dx(op.q0), dz(op.q0));
             break;
           case OpCode::X:
           case OpCode::Y:
@@ -109,93 +164,63 @@ DetectorErrorModel::build(const Circuit& circuit)
             break; // Pauli gates do not change Pauli-frame sensitivity
           case OpCode::CNOT:
             // Forward: X(c) -> X(c)X(t), Z(t) -> Z(c)Z(t).
-            dx[op.q0] ^= dx[op.q1];
-            dz[op.q1] ^= dz[op.q0];
+            xorInto(dx(op.q0), dx(op.q1));
+            xorInto(dz(op.q1), dz(op.q0));
             break;
           case OpCode::SWAP:
-            std::swap(dx[op.q0], dx[op.q1]);
-            std::swap(dz[op.q0], dz[op.q1]);
+            std::swap(xRow[op.q0], xRow[op.q1]);
+            std::swap(zRow[op.q0], zRow[op.q1]);
             break;
           case OpCode::DEPOLARIZE1: {
-            FaultChannel ch;
-            ch.opIndex = static_cast<uint32_t>(idx);
+            const uint64_t* x = dx(op.q0);
+            const uint64_t* z = dz(op.q0);
             const double p3 = op.p / 3.0;
-            // X
-            FaultOutcome ox = toOutcome(dx[op.q0], dem.numDetectors_, p3);
-            // Z
-            FaultOutcome oz = toOutcome(dz[op.q0], dem.numDetectors_, p3);
-            // Y
-            scratch = dx[op.q0];
-            scratch ^= dz[op.q0];
-            FaultOutcome oy = toOutcome(scratch, dem.numDetectors_, p3);
-            for (auto* o : {&ox, &oy, &oz})
-                if (!o->detectors.empty() || o->observables != 0)
-                    ch.outcomes.push_back(std::move(*o));
-            if (!ch.outcomes.empty())
-                dem.channels_.push_back(std::move(ch));
+            emit(p3, false, [&](size_t w) { return x[w]; });        // X
+            emit(p3, false, [&](size_t w) { return x[w] ^ z[w]; }); // Y
+            emit(p3, false, [&](size_t w) { return z[w]; });        // Z
             break;
           }
           case OpCode::DEPOLARIZE2: {
-            FaultChannel ch;
-            ch.opIndex = static_cast<uint32_t>(idx);
+            const uint64_t* x0 = dx(op.q0);
+            const uint64_t* z0 = dz(op.q0);
+            const uint64_t* x1 = dx(op.q1);
+            const uint64_t* z1 = dz(op.q1);
             const double p15 = op.p / 15.0;
             for (int code = 1; code < 16; ++code) {
-                int pa = code >> 2;
-                int pb = code & 3;
-                scratch.clear();
-                if (pa & 1)
-                    scratch ^= dx[op.q0];
-                if (pa & 2)
-                    scratch ^= dz[op.q0];
-                if (pb & 1)
-                    scratch ^= dx[op.q1];
-                if (pb & 2)
-                    scratch ^= dz[op.q1];
-                FaultOutcome o = toOutcome(scratch, dem.numDetectors_,
-                                           p15);
-                if (!o.detectors.empty() || o.observables != 0)
-                    ch.outcomes.push_back(std::move(o));
+                const int pa = code >> 2;
+                const int pb = code & 3;
+                const uint64_t mx0 = wordMask(pa & 1);
+                const uint64_t mz0 = wordMask(pa & 2);
+                const uint64_t mx1 = wordMask(pb & 1);
+                const uint64_t mz1 = wordMask(pb & 2);
+                emit(p15, false, [&](size_t w) {
+                    return (x0[w] & mx0) ^ (z0[w] & mz0) ^ (x1[w] & mx1)
+                        ^ (z1[w] & mz1);
+                });
             }
-            if (!ch.outcomes.empty())
-                dem.channels_.push_back(std::move(ch));
             break;
           }
           case OpCode::X_ERROR:
           case OpCode::Y_ERROR:
           case OpCode::Z_ERROR: {
-            FaultChannel ch;
-            ch.opIndex = static_cast<uint32_t>(idx);
-            scratch.clear();
-            if (op.code != OpCode::Z_ERROR)
-                scratch ^= dx[op.q0];
-            if (op.code != OpCode::X_ERROR)
-                scratch ^= dz[op.q0];
-            FaultOutcome o = toOutcome(scratch, dem.numDetectors_, op.p);
-            if (!o.detectors.empty() || o.observables != 0)
-                ch.outcomes.push_back(std::move(o));
-            if (!ch.outcomes.empty())
-                dem.channels_.push_back(std::move(ch));
+            const uint64_t* x = dx(op.q0);
+            const uint64_t* z = dz(op.q0);
+            const uint64_t mx = wordMask(op.code != OpCode::Z_ERROR);
+            const uint64_t mz = wordMask(op.code != OpCode::X_ERROR);
+            emit(op.p, false,
+                 [&](size_t w) { return (x[w] & mx) ^ (z[w] & mz); });
             break;
           }
           case OpCode::PAULI_CHANNEL_1: {
-            FaultChannel ch;
-            ch.opIndex = static_cast<uint32_t>(idx);
-            FaultOutcome ox = toOutcome(dx[op.q0], dem.numDetectors_,
-                                        op.p);
-            scratch = dx[op.q0];
-            scratch ^= dz[op.q0];
-            FaultOutcome oy = toOutcome(scratch, dem.numDetectors_,
-                                        op.py);
-            FaultOutcome oz = toOutcome(dz[op.q0], dem.numDetectors_,
-                                        op.pz);
-            for (auto* o : {&ox, &oy, &oz}) {
-                if (o->probability > 0.0
-                    && (!o->detectors.empty() || o->observables != 0)) {
-                    ch.outcomes.push_back(std::move(*o));
-                }
-            }
-            if (!ch.outcomes.empty())
-                dem.channels_.push_back(std::move(ch));
+            const uint64_t* x = dx(op.q0);
+            const uint64_t* z = dz(op.q0);
+            if (op.p > 0.0)
+                emit(op.p, false, [&](size_t w) { return x[w]; });
+            if (op.py > 0.0)
+                emit(op.py, false,
+                     [&](size_t w) { return x[w] ^ z[w]; });
+            if (op.pz > 0.0)
+                emit(op.pz, false, [&](size_t w) { return z[w]; });
             break;
           }
           case OpCode::HERALDED_ERASE: {
@@ -203,29 +228,27 @@ DetectorErrorModel::build(const Circuit& circuit)
             // uniform I/X/Y/Z, each p/4. Empty signatures (always the I
             // branch, possibly more) are KEPT so the channel fires --
             // and the herald raises -- with the full probability p.
-            FaultChannel ch;
-            ch.opIndex = static_cast<uint32_t>(idx);
-            ch.heralded = true;
+            const uint64_t* x = dx(op.q0);
+            const uint64_t* z = dz(op.q0);
             const double p4 = op.p / 4.0;
-            scratch.clear();
-            ch.outcomes.push_back(
-                toOutcome(scratch, dem.numDetectors_, p4)); // I
-            ch.outcomes.push_back(
-                toOutcome(dx[op.q0], dem.numDetectors_, p4)); // X
-            scratch = dx[op.q0];
-            scratch ^= dz[op.q0];
-            ch.outcomes.push_back(
-                toOutcome(scratch, dem.numDetectors_, p4)); // Y
-            ch.outcomes.push_back(
-                toOutcome(dz[op.q0], dem.numDetectors_, p4)); // Z
-            dem.channels_.push_back(std::move(ch));
+            heralded = true;
+            emit(p4, true, [](size_t) { return uint64_t{0}; });     // I
+            emit(p4, true, [&](size_t w) { return x[w]; });         // X
+            emit(p4, true, [&](size_t w) { return x[w] ^ z[w]; });  // Y
+            emit(p4, true, [&](size_t w) { return z[w]; });         // Z
             break;
           }
         }
+        const uint32_t outEnd = static_cast<uint32_t>(dem.outcomes_.size());
+        if (outEnd > outBegin)
+            dem.channels_.push_back(FaultChannel{
+                static_cast<uint32_t>(idx), outBegin, outEnd, heralded,
+                -1});
     }
 
-    // Reverse to circuit order (cosmetic: keeps opIndex ascending), then
-    // number the heralded channels in that final order.
+    // Reverse the channel records to circuit order (keeps opIndex
+    // ascending; the ranges stay valid), then number the heralded
+    // channels in that final order.
     std::reverse(dem.channels_.begin(), dem.channels_.end());
     for (auto& ch : dem.channels_)
         if (ch.heralded)
@@ -239,7 +262,7 @@ DetectorErrorModel::totalFaultMass() const
 {
     double mass = 0.0;
     for (const auto& ch : channels_)
-        mass += ch.totalProbability();
+        mass += totalProbability(ch);
     return mass;
 }
 

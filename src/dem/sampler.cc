@@ -1,8 +1,8 @@
 #include "dem/sampler.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
 
 #include "obs/obs.h"
 #include "util/logging.h"
@@ -12,55 +12,66 @@ namespace vlq {
 FaultSampler::FaultSampler(const DetectorErrorModel& dem)
     : numDetectors_(dem.numDetectors()),
       numObservables_(dem.numObservables()),
-      numErasureSites_(dem.numErasureSites())
+      numErasureSites_(dem.numErasureSites()),
+      outcomes_(dem.outcomeArray()),
+      detectors_(dem.detectorArray()),
+      cumulative_(outcomes_.size())
 {
+    // Only the cumulative bounds and channel totals are computed here;
+    // the summation order is the channel's outcome order.
     channels_.reserve(dem.channels().size());
-    for (const auto& ch : dem.channels()) {
-        FlatChannel fc;
-        fc.erasureSite = ch.erasureSite;
-        fc.begin = static_cast<uint32_t>(outcomes_.size());
+    for (const FaultChannel& ch : dem.channels()) {
         double cum = 0.0;
-        for (const auto& o : ch.outcomes) {
-            FlatOutcome fo;
-            cum += o.probability;
-            fo.cumulative = cum;
-            fo.begin = static_cast<uint32_t>(detectorIndices_.size());
-            detectorIndices_.insert(detectorIndices_.end(),
-                                    o.detectors.begin(), o.detectors.end());
-            fo.end = static_cast<uint32_t>(detectorIndices_.size());
-            fo.observables = o.observables;
-            outcomes_.push_back(fo);
+        for (uint32_t i = ch.outBegin; i < ch.outEnd; ++i) {
+            cum += outcomes_[i].probability;
+            cumulative_[i] = cum;
         }
-        fc.end = static_cast<uint32_t>(outcomes_.size());
-        fc.total = cum;
-        if (fc.end > fc.begin)
-            channels_.push_back(fc);
+        channels_.push_back(
+            FlatChannel{cum, ch.outBegin, ch.outEnd, ch.erasureSite});
     }
 
     // Group channels by firing probability for the skip-sampling path.
-    // Noise models use a handful of distinct rates, so the group count
-    // is small; std::map keeps group order (and therefore the sampled
-    // stream) deterministic for a given model.
-    std::map<double, std::vector<uint32_t>> byProb;
+    // Groups are ordered by ascending probability and list their
+    // channels in ascending index order, which fixes the sampled stream
+    // for a given model. Noise models use a handful of distinct rates,
+    // so the channels are placed by counting against the short sorted
+    // list of distinct rates rather than sorted themselves.
+    std::vector<double> probs;
+    for (const FlatChannel& ch : channels_) {
+        if (ch.total <= 0.0)
+            continue;
+        auto it = std::lower_bound(probs.begin(), probs.end(), ch.total);
+        if (it == probs.end() || *it != ch.total)
+            probs.insert(it, ch.total);
+    }
+    auto groupOf = [&](double p) {
+        return static_cast<size_t>(
+            std::lower_bound(probs.begin(), probs.end(), p)
+            - probs.begin());
+    };
+    std::vector<uint32_t> cursor(probs.size() + 1, 0);
+    for (const FlatChannel& ch : channels_)
+        if (ch.total > 0.0)
+            ++cursor[groupOf(ch.total) + 1];
+    for (size_t g = 0; g < probs.size(); ++g) {
+        cursor[g + 1] += cursor[g];
+        ChannelGroup group;
+        group.probability = probs[g];
+        group.begin = cursor[g];
+        group.end = cursor[g + 1];
+        group.alwaysFires = probs[g] >= 1.0;
+        group.invLogOneMinusP =
+            group.alwaysFires ? 0.0 : 1.0 / std::log1p(-probs[g]);
+        group.fullExitU = group.alwaysFires
+            ? 1.0
+            : 1.0 - std::pow(1.0 - probs[g],
+                             static_cast<double>(group.end - group.begin));
+        groups_.push_back(group);
+    }
+    groupChannels_.resize(cursor.back());
     for (uint32_t c = 0; c < channels_.size(); ++c)
         if (channels_[c].total > 0.0)
-            byProb[channels_[c].total].push_back(c);
-    for (const auto& [p, chans] : byProb) {
-        ChannelGroup g;
-        g.probability = p;
-        g.alwaysFires = p >= 1.0;
-        g.invLogOneMinusP =
-            g.alwaysFires ? 0.0 : 1.0 / std::log1p(-p);
-        g.fullExitU = g.alwaysFires
-            ? 1.0
-            : 1.0 - std::pow(1.0 - p,
-                             static_cast<double>(chans.size()));
-        g.begin = static_cast<uint32_t>(groupChannels_.size());
-        groupChannels_.insert(groupChannels_.end(), chans.begin(),
-                              chans.end());
-        g.end = static_cast<uint32_t>(groupChannels_.size());
-        groups_.push_back(g);
-    }
+            groupChannels_[cursor[groupOf(channels_[c].total)]++] = c;
 }
 
 FaultSampler::Shot
@@ -98,10 +109,10 @@ FaultSampler::sampleInto(Rng& rng, BitVec& detectors,
             erasures.set(static_cast<uint32_t>(ch.erasureSite), true);
         // Linear scan: channels have at most 15 outcomes.
         for (uint32_t i = ch.begin; i < ch.end; ++i) {
-            const FlatOutcome& o = outcomes_[i];
-            if (u < o.cumulative) {
-                for (uint32_t j = o.begin; j < o.end; ++j)
-                    detectors.flip(detectorIndices_[j]);
+            if (u < cumulative_[i]) {
+                const FaultOutcome& o = outcomes_[i];
+                for (uint32_t j = o.detBegin; j < o.detEnd; ++j)
+                    detectors.flip(detectors_[j]);
                 observables ^= o.observables;
                 break;
             }
@@ -123,11 +134,10 @@ FaultSampler::fireChannel(const FlatChannel& ch, double u,
     // the skip already committed this channel to firing, so falling
     // through without applying anything would skew the distribution.
     for (uint32_t i = ch.begin; i < ch.end; ++i) {
-        const FlatOutcome& o = outcomes_[i];
-        if (u < o.cumulative || i + 1 == ch.end) {
-            for (uint32_t j = o.begin; j < o.end; ++j)
-                batch.detectorRow(detectorIndices_[j])[laneWord] ^=
-                    laneBit;
+        if (u < cumulative_[i] || i + 1 == ch.end) {
+            const FaultOutcome& o = outcomes_[i];
+            for (uint32_t j = o.detBegin; j < o.detEnd; ++j)
+                batch.detectorRow(detectors_[j])[laneWord] ^= laneBit;
             uint32_t mask = o.observables;
             while (mask) {
                 uint32_t b =

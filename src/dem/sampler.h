@@ -77,13 +77,6 @@ class FaultSampler
     uint32_t numErasureSites() const { return numErasureSites_; }
 
   private:
-    struct FlatOutcome
-    {
-        double cumulative; // upper cumulative bound within the channel
-        uint32_t begin;    // range into detectorIndices_
-        uint32_t end;
-        uint32_t observables;
-    };
     struct FlatChannel
     {
         double total;      // total visible probability
@@ -109,8 +102,13 @@ class FaultSampler
     uint32_t numObservables_ = 0;
     uint32_t numErasureSites_ = 0;
     std::vector<FlatChannel> channels_;
-    std::vector<FlatOutcome> outcomes_;
-    std::vector<uint32_t> detectorIndices_;
+    // Bulk copies of the model's outcome and detector arrays (the
+    // channel and outcome ranges index into them), so the sampler owns
+    // everything it reads and the model need not outlive it.
+    std::vector<FaultOutcome> outcomes_;
+    std::vector<uint32_t> detectors_;
+    // Per outcome: upper cumulative probability bound within its channel.
+    std::vector<double> cumulative_;
     std::vector<ChannelGroup> groups_;
     std::vector<uint32_t> groupChannels_; // channel indices by group
 };

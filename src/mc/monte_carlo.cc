@@ -326,11 +326,24 @@ estimateLogicalErrorBasis(EmbeddingKind embedding,
         }
     }
 
-    GeneratedCircuit gen = generateMemoryCircuit(embedding, config);
-    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    FaultSampler sampler(dem);
-
-    std::unique_ptr<Decoder> decoder = makeDecoder(options.decoder, dem);
+    // Pipeline setup, one timed stage per step (free when metrics and
+    // tracing are off).
+    const GeneratedCircuit gen = [&] {
+        obs::StageTimer timer("setup.generate");
+        return generateMemoryCircuit(embedding, config);
+    }();
+    const DetectorErrorModel dem = [&] {
+        obs::StageTimer timer("setup.dem");
+        return DetectorErrorModel::build(gen.circuit);
+    }();
+    const FaultSampler sampler = [&] {
+        obs::StageTimer timer("setup.sampler");
+        return FaultSampler(dem);
+    }();
+    const std::unique_ptr<Decoder> decoder = [&] {
+        obs::StageTimer timer("setup.decoder");
+        return makeDecoder(options.decoder, dem);
+    }();
 
     // Distinguish the two bases in the trial RNG stream.
     uint64_t baseSeed = options.seed

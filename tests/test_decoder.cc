@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/generator_common.h"
+#include "decoder/decoding_graph.h"
 #include "decoder/matching_graph.h"
 #include "decoder/mwpm_decoder.h"
 #include "dem/detector_model.h"
@@ -78,9 +79,9 @@ TEST_P(SingleFaultCorrection, EverySingleFaultIsCorrected)
 
     int checked = 0;
     for (const auto& ch : dem.channels()) {
-        for (const auto& o : ch.outcomes) {
+        for (const auto& o : dem.outcomes(ch)) {
             BitVec det(dem.numDetectors());
-            for (uint32_t dIdx : o.detectors)
+            for (uint32_t dIdx : dem.detectors(o))
                 det.flip(dIdx);
             uint32_t predicted = decoder.decode(det);
             EXPECT_EQ(predicted, o.observables)
@@ -123,12 +124,12 @@ TEST(MwpmDecoderTest, TwoFaultsAtDistanceFive)
     int checked = 0;
     for (size_t i = 0; i < chs.size(); i += 97) {
         for (size_t j = i + 1; j < chs.size(); j += 131) {
-            const auto& oi = chs[i].outcomes.front();
-            const auto& oj = chs[j].outcomes.front();
+            const auto& oi = dem.outcomes(chs[i]).front();
+            const auto& oj = dem.outcomes(chs[j]).front();
             BitVec det(dem.numDetectors());
-            for (uint32_t d : oi.detectors)
+            for (uint32_t d : dem.detectors(oi))
                 det.flip(d);
-            for (uint32_t d : oj.detectors)
+            for (uint32_t d : dem.detectors(oj))
                 det.flip(d);
             uint32_t truth = oi.observables ^ oj.observables;
             EXPECT_EQ(decoder.decode(det), truth)
@@ -153,9 +154,9 @@ TEST(GreedyDecoderTest, CorrectsMostSingleFaults)
     int total = 0;
     int wrong = 0;
     for (const auto& ch : dem.channels()) {
-        for (const auto& o : ch.outcomes) {
+        for (const auto& o : dem.outcomes(ch)) {
             BitVec det(dem.numDetectors());
-            for (uint32_t dIdx : o.detectors)
+            for (uint32_t dIdx : dem.detectors(o))
                 det.flip(dIdx);
             if (decoder.decode(det) != o.observables)
                 ++wrong;
@@ -183,11 +184,11 @@ TEST(MwpmDecoderTest, OddEventCountUsesBoundary)
     MwpmDecoder decoder(dem);
     int oddCases = 0;
     for (const auto& ch : dem.channels()) {
-        for (const auto& o : ch.outcomes) {
-            if (o.detectors.size() != 1)
+        for (const auto& o : dem.outcomes(ch)) {
+            if (dem.detectors(o).size() != 1)
                 continue;
             BitVec det(dem.numDetectors());
-            det.flip(o.detectors[0]);
+            det.flip(dem.detectors(o)[0]);
             EXPECT_EQ(decoder.decode(det), o.observables);
             ++oddCases;
         }
@@ -208,15 +209,15 @@ TEST(MwpmDecoderTest, ThreeFaultsStillDecodedAtDistanceSeven)
     for (size_t i = 0; i < chs.size(); i += 487) {
         for (size_t j = i + 151; j < chs.size(); j += 911) {
             for (size_t k = j + 77; k < chs.size(); k += 1303) {
-                const auto& oi = chs[i].outcomes.front();
-                const auto& oj = chs[j].outcomes.front();
-                const auto& ok = chs[k].outcomes.front();
+                const auto& oi = dem.outcomes(chs[i]).front();
+                const auto& oj = dem.outcomes(chs[j]).front();
+                const auto& ok = dem.outcomes(chs[k]).front();
                 BitVec det(dem.numDetectors());
-                for (uint32_t d : oi.detectors)
+                for (uint32_t d : dem.detectors(oi))
                     det.flip(d);
-                for (uint32_t d : oj.detectors)
+                for (uint32_t d : dem.detectors(oj))
                     det.flip(d);
-                for (uint32_t d : ok.detectors)
+                for (uint32_t d : dem.detectors(ok))
                     det.flip(d);
                 uint32_t truth = oi.observables ^ oj.observables
                                ^ ok.observables;
@@ -255,6 +256,63 @@ TEST(MatchingGraphTest, FewForcedPairings)
         EXPECT_EQ(g.stats().forcedPairings, 0u)
             << "embedding " << embInt;
     }
+}
+
+TEST(MatchingGraphTest, ArbitraryPairingCountsAsForcedWithKnownBoundary)
+{
+    // One X fault flips detectors {0, 1, 2}. No two-detector outcome
+    // exists, so (0, 1) is paired arbitrarily; the leftover 2 goes to
+    // the boundary, which the m1 record flip already knows. The
+    // decomposition is still forced: the known boundary edge must not
+    // clear the flag the arbitrary pair raised.
+    Circuit c(2);
+    c.xError(0, 0.01);
+    uint32_t m0 = c.measureZ(0);
+    uint32_t m1 = c.measureZ(1, 0.02);
+    for (const std::vector<uint32_t>& ms :
+         {std::vector<uint32_t>{m0}, std::vector<uint32_t>{m0},
+          std::vector<uint32_t>{m0, m1}}) {
+        Detector d;
+        d.measurements = ms;
+        c.addDetector(d);
+    }
+    DetectorErrorModel dem = DetectorErrorModel::build(c);
+    ASSERT_EQ(dem.channels().size(), 2u);
+    DecodingGraph g = DecodingGraph::build(dem);
+    EXPECT_EQ(g.stats().forcedPairings, 1u);
+    EXPECT_EQ(g.stats().decomposed, 0u);
+}
+
+TEST(MatchingGraphTest, CorrelatedOutcomeDecomposesIntoLaterKnownPairs)
+{
+    // An X fault flips detectors {0, 1, 2, 3}; the m1 and m2 record
+    // flips, which come later in the circuit, flip {0, 1} and {2, 3}.
+    // The correlated outcome splits into those two known edges (not a
+    // forced pairing), and the edges keep first-contribution order.
+    Circuit c(3);
+    c.xError(0, 0.01);
+    uint32_t m0 = c.measureZ(0);
+    uint32_t m1 = c.measureZ(1, 0.02);
+    uint32_t m2 = c.measureZ(2, 0.03);
+    for (uint32_t m : {m1, m1, m2, m2}) {
+        Detector d;
+        d.measurements = {m0, m};
+        c.addDetector(d);
+    }
+    DetectorErrorModel dem = DetectorErrorModel::build(c);
+    ASSERT_EQ(dem.channels().size(), 3u);
+    DecodingGraph g = DecodingGraph::build(dem);
+    EXPECT_EQ(g.stats().decomposed, 1u);
+    EXPECT_EQ(g.stats().forcedPairings, 0u);
+    ASSERT_EQ(g.edges().size(), 2u);
+    EXPECT_EQ(g.edges()[0].a, 0u);
+    EXPECT_EQ(g.edges()[0].b, 1u);
+    EXPECT_NEAR(g.edges()[0].probability, 0.01 + 0.02 - 2 * 0.01 * 0.02,
+                1e-15);
+    EXPECT_EQ(g.edges()[1].a, 2u);
+    EXPECT_EQ(g.edges()[1].b, 3u);
+    EXPECT_NEAR(g.edges()[1].probability, 0.01 + 0.03 - 2 * 0.01 * 0.03,
+                1e-15);
 }
 
 } // namespace

@@ -1,14 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <span>
+#include <vector>
+
 #include "core/generator_common.h"
 #include "decoder/decoding_graph.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
+#include "mc/memory_experiment.h"
 #include "sim/frame.h"
 #include "util/rng.h"
 
 namespace vlq {
 namespace {
+
+std::vector<uint32_t>
+asVector(std::span<const uint32_t> v)
+{
+    return {v.begin(), v.end()};
+}
 
 GeneratorConfig
 smallConfig(EmbeddingKind, double p,
@@ -50,13 +61,13 @@ TEST(Dem, RepetitionToyCircuit)
     DetectorErrorModel dem = DetectorErrorModel::build(c);
     ASSERT_EQ(dem.channels().size(), 1u);
     const auto& ch = dem.channels()[0];
-    ASSERT_EQ(ch.outcomes.size(), 1u);
+    ASSERT_EQ(dem.outcomes(ch).size(), 1u);
     // X on qubit 0 flips m0 and m1 and the data readout: detector 0
     // (m0) fires, detector 1 (m0 xor m1) stays quiet, observable flips.
-    EXPECT_EQ(ch.outcomes[0].detectors,
+    EXPECT_EQ(asVector(dem.detectors(dem.outcomes(ch)[0])),
               (std::vector<uint32_t>{0}));
-    EXPECT_EQ(ch.outcomes[0].observables, 1u);
-    EXPECT_NEAR(ch.outcomes[0].probability, 0.1, 1e-12);
+    EXPECT_EQ(dem.outcomes(ch)[0].observables, 1u);
+    EXPECT_NEAR(dem.outcomes(ch)[0].probability, 0.1, 1e-12);
 }
 
 TEST(Dem, MeasurementFlipChannel)
@@ -69,9 +80,9 @@ TEST(Dem, MeasurementFlipChannel)
     c.addDetector(d);
     DetectorErrorModel dem = DetectorErrorModel::build(c);
     ASSERT_EQ(dem.channels().size(), 1u);
-    EXPECT_EQ(dem.channels()[0].outcomes[0].detectors,
-              (std::vector<uint32_t>{0}));
-    EXPECT_NEAR(dem.channels()[0].outcomes[0].probability, 0.2, 1e-12);
+    const FaultOutcome& o = dem.outcomes(dem.channels()[0])[0];
+    EXPECT_EQ(asVector(dem.detectors(o)), (std::vector<uint32_t>{0}));
+    EXPECT_NEAR(o.probability, 0.2, 1e-12);
 }
 
 TEST(Dem, DepolarizeSplitsOutcomes)
@@ -85,8 +96,8 @@ TEST(Dem, DepolarizeSplitsOutcomes)
     DetectorErrorModel dem = DetectorErrorModel::build(c);
     ASSERT_EQ(dem.channels().size(), 1u);
     // X and Y flip the Z measurement; Z does not (empty, dropped).
-    EXPECT_EQ(dem.channels()[0].outcomes.size(), 2u);
-    EXPECT_NEAR(dem.channels()[0].totalProbability(), 0.2, 1e-12);
+    EXPECT_EQ(dem.outcomes(dem.channels()[0]).size(), 2u);
+    EXPECT_NEAR(dem.totalProbability(dem.channels()[0]), 0.2, 1e-12);
 }
 
 /**
@@ -144,12 +155,13 @@ TEST_P(DemForwardBackward, SignaturesMatchForwardInjection)
             FAIL() << "unexpected channel op";
         }
         // Compare as multisets.
-        ASSERT_EQ(ch.outcomes.size(), expected.size())
+        ASSERT_EQ(dem.outcomes(ch).size(), expected.size())
             << "op " << ch.opIndex;
-        for (const auto& o : ch.outcomes) {
+        for (const auto& o : dem.outcomes(ch)) {
             bool found = false;
             for (auto& e : expected) {
-                if (e.first == o.detectors && e.second == o.observables) {
+                if (e.first == asVector(dem.detectors(o))
+                    && e.second == o.observables) {
                     found = true;
                     e.second = 0xffffffff; // consume
                     e.first.clear();
@@ -308,8 +320,159 @@ TEST(Dem, ZeroProbabilityNoiseEmitsNothing)
         DetectorErrorModel::build(without.circuit);
     EXPECT_LT(demWithout.channels().size(), demWith.channels().size());
     for (const auto& ch : demWithout.channels())
-        for (const auto& o : ch.outcomes)
+        for (const auto& o : demWithout.outcomes(ch))
             EXPECT_GT(o.probability, 0.0);
+}
+
+/** FNV-1a over a stream of 64-bit words. */
+struct Fnv64
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    void add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    void add(double v) { add(std::bit_cast<uint64_t>(v)); }
+};
+
+uint64_t
+demFingerprint(const DetectorErrorModel& dem)
+{
+    Fnv64 f;
+    f.add(uint64_t{dem.channels().size()});
+    for (const auto& ch : dem.channels()) {
+        f.add(uint64_t{ch.opIndex});
+        f.add(uint64_t{ch.heralded});
+        f.add(static_cast<uint64_t>(static_cast<int64_t>(ch.erasureSite)));
+        f.add(uint64_t{dem.outcomes(ch).size()});
+        for (const auto& o : dem.outcomes(ch)) {
+            f.add(o.probability);
+            f.add(uint64_t{o.observables});
+            f.add(uint64_t{dem.detectors(o).size()});
+            for (uint32_t d : dem.detectors(o))
+                f.add(uint64_t{d});
+        }
+    }
+    return f.h;
+}
+
+uint64_t
+graphFingerprint(const DecodingGraph& g)
+{
+    Fnv64 f;
+    f.add(uint64_t{g.edges().size()});
+    for (const auto& e : g.edges()) {
+        f.add(uint64_t{e.a});
+        f.add(uint64_t{e.b});
+        f.add(e.probability);
+        f.add(uint64_t{e.observables});
+        f.add(e.weight);
+    }
+    return f.h;
+}
+
+/**
+ * Determinism pin: the DEM (channel order, outcome order, detectors,
+ * probability bits, erasure numbering) and the decoding graph (edge
+ * insertion order, probabilities, weights) are a pure function of the
+ * circuit. Any change to either hash changes seeded Monte-Carlo counts,
+ * so a refactor of the DEM or graph builders must leave every value
+ * below untouched.
+ */
+TEST(DemFingerprint, PinnedAcrossPaperSetupsAndNoiseSources)
+{
+    struct Case
+    {
+        const char* name;
+        int setup;     // paperSetups() index, -1: biased + erasure noise
+        int distance;
+        CheckBasis basis;
+        uint64_t dem;
+        uint64_t graph;
+    };
+    const Case cases[] = {
+        {"setup0 d=3 Z", 0, 3, CheckBasis::Z, 0xbc3a6c254333ecd4ULL,
+         0x66a4906a26196d5fULL},
+        {"setup0 d=3 X", 0, 3, CheckBasis::X, 0xb833cff4c4526e34ULL,
+         0x04cc99068409e834ULL},
+        {"setup0 d=5 Z", 0, 5, CheckBasis::Z, 0xd4f83d6a29ac9670ULL,
+         0x4350b17f9ca167b4ULL},
+        {"setup0 d=5 X", 0, 5, CheckBasis::X, 0x63dc7d075c83b960ULL,
+         0xf4199d7844da1684ULL},
+        {"setup1 d=3 Z", 1, 3, CheckBasis::Z, 0x340c5d05d2e89cc9ULL,
+         0x0095b2804ef62eb4ULL},
+        {"setup1 d=3 X", 1, 3, CheckBasis::X, 0x532592fe1268461aULL,
+         0xf7e6688e131a9f10ULL},
+        {"setup1 d=5 Z", 1, 5, CheckBasis::Z, 0xe3d71081b133f49aULL,
+         0xbc59760427b2315cULL},
+        {"setup1 d=5 X", 1, 5, CheckBasis::X, 0x080b4d3d5b422c7dULL,
+         0x6370841c2957d7e7ULL},
+        {"setup2 d=3 Z", 2, 3, CheckBasis::Z, 0x033e5dfcf315431fULL,
+         0x0b1a921a06cad3eaULL},
+        {"setup2 d=3 X", 2, 3, CheckBasis::X, 0x7c925b4ae207fa08ULL,
+         0x507d251dbe0e3a7dULL},
+        {"setup2 d=5 Z", 2, 5, CheckBasis::Z, 0x988e5161a1e94b1aULL,
+         0x8b15f1c3d2dfc4caULL},
+        {"setup2 d=5 X", 2, 5, CheckBasis::X, 0x31d13ba0afaa0f10ULL,
+         0x7f72e11c8e1e202aULL},
+        {"setup3 d=3 Z", 3, 3, CheckBasis::Z, 0x87538be7e7b53021ULL,
+         0x3eb646ad96de3883ULL},
+        {"setup3 d=3 X", 3, 3, CheckBasis::X, 0xeb159e885bdf37eeULL,
+         0x293324312384506dULL},
+        {"setup3 d=5 Z", 3, 5, CheckBasis::Z, 0xba538a052dfda997ULL,
+         0x877654cbca827451ULL},
+        {"setup3 d=5 X", 3, 5, CheckBasis::X, 0xe5a1b60dee02d5fbULL,
+         0xcf321334548d0eb1ULL},
+        {"setup4 d=3 Z", 4, 3, CheckBasis::Z, 0xefd74a2c3ca9f258ULL,
+         0x9768f840b067c9a3ULL},
+        {"setup4 d=3 X", 4, 3, CheckBasis::X, 0xa864e012839ee4d5ULL,
+         0xc90d1ff9f108239eULL},
+        {"setup4 d=5 Z", 4, 5, CheckBasis::Z, 0x8b97ef42ddca071dULL,
+         0x8423ea0dd4a6c586ULL},
+        {"setup4 d=5 X", 4, 5, CheckBasis::X, 0xdfc30127c896e227ULL,
+         0x8138a5f8e1ca59d1ULL},
+        {"bias10+erasure0.5 d=3 Z", -1, 3, CheckBasis::Z,
+         0x035c656a5f820f8fULL, 0xf995ce40affc1d88ULL},
+    };
+    for (const Case& c : cases) {
+        GeneratorConfig cfg;
+        cfg.distance = c.distance;
+        cfg.memoryBasis = c.basis;
+        cfg.cavityDepth = 10;
+        cfg.noise = NoiseModel::atPhysicalRate(
+            2e-3, HardwareParams::transmonsWithMemory());
+        EmbeddingKind emb = EmbeddingKind::Baseline2D;
+        if (c.setup >= 0) {
+            const EvaluationSetup setup =
+                paperSetups()[static_cast<size_t>(c.setup)];
+            emb = setup.embedding;
+            cfg.schedule = setup.schedule;
+        } else {
+            cfg.noise.bias.rZ = 10.0;
+            cfg.noise.erasure.fraction = 0.5;
+        }
+        GeneratedCircuit gen = generateMemoryCircuit(emb, cfg);
+        DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+        DecodingGraph g = DecodingGraph::build(dem);
+        const uint64_t demHash = demFingerprint(dem);
+        const uint64_t graphHash = graphFingerprint(g);
+        EXPECT_EQ(demHash, c.dem) << c.name;
+        EXPECT_EQ(graphHash, c.graph) << c.name;
+        if (c.setup < 0) {
+            // The noise case must exercise the heralded and biased
+            // emission paths, or it pins nothing they produce.
+            EXPECT_GT(dem.numErasureSites(), 0u);
+            bool biased = false;
+            for (const auto& ch : dem.channels())
+                biased = biased
+                    || gen.circuit.ops()[ch.opIndex].code
+                        == OpCode::PAULI_CHANNEL_1;
+            EXPECT_TRUE(biased);
+        }
+    }
 }
 
 TEST(Sampler, ZeroNoiseSamplesNothing)

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -33,12 +34,18 @@ configFor(int d, double p, ExtractionSchedule sched,
 }
 
 BitVec
-syndromeOf(const std::vector<uint32_t>& detectors, uint32_t numDetectors)
+syndromeOf(std::span<const uint32_t> detectors, uint32_t numDetectors)
 {
     BitVec v(numDetectors);
     for (uint32_t d : detectors)
         v.flip(d);
     return v;
+}
+
+BitVec
+syndromeOf(const std::vector<uint32_t>& detectors, uint32_t numDetectors)
+{
+    return syndromeOf(std::span<const uint32_t>(detectors), numDetectors);
 }
 
 /**
@@ -348,8 +355,8 @@ TEST(UnionFindAgreementTest, AllSingleFaultsAtDistanceThree)
         UnionFindDecoder uf(dem);
         int checked = 0;
         for (const auto& ch : dem.channels()) {
-            for (const auto& o : ch.outcomes) {
-                BitVec det = syndromeOf(o.detectors,
+            for (const auto& o : dem.outcomes(ch)) {
+                BitVec det = syndromeOf(dem.detectors(o),
                                         dem.numDetectors());
                 uint32_t predicted = uf.decode(det);
                 if (predicted != mwpm.decode(det)) {
@@ -382,10 +389,10 @@ TEST(UnionFindAgreementTest, AllFaultPairsAtDistanceThree)
     int disagreements = 0;
     for (size_t i = 0; i < chs.size(); ++i) {
         for (size_t j = i + 1; j < chs.size(); ++j) {
-            const auto& oi = chs[i].outcomes.front();
-            const auto& oj = chs[j].outcomes.front();
-            BitVec det = syndromeOf(oi.detectors, dem.numDetectors());
-            for (uint32_t d : oj.detectors)
+            const auto& oi = dem.outcomes(chs[i]).front();
+            const auto& oj = dem.outcomes(chs[j]).front();
+            BitVec det = syndromeOf(dem.detectors(oi), dem.numDetectors());
+            for (uint32_t d : dem.detectors(oj))
                 det.flip(d);
             uint32_t predicted = uf.decode(det);
             if (predicted != mwpm.decode(det)) {
@@ -416,10 +423,10 @@ TEST(UnionFindAgreementTest, FaultPairsAtDistanceFive)
     int checked = 0;
     for (size_t i = 0; i < chs.size(); i += 37) {
         for (size_t j = i + 1; j < chs.size(); j += 53) {
-            const auto& oi = chs[i].outcomes.front();
-            const auto& oj = chs[j].outcomes.front();
-            BitVec det = syndromeOf(oi.detectors, dem.numDetectors());
-            for (uint32_t d : oj.detectors)
+            const auto& oi = dem.outcomes(chs[i]).front();
+            const auto& oj = dem.outcomes(chs[j]).front();
+            BitVec det = syndromeOf(dem.detectors(oi), dem.numDetectors());
+            for (uint32_t d : dem.detectors(oj))
                 det.flip(d);
             uint32_t predicted = uf.decode(det);
             if (predicted != mwpm.decode(det)) {
@@ -622,10 +629,10 @@ TEST(UnionFindErasureTest, ErasureOnlyShotsDecodeExactly)
             continue;
         BitVec erasures(dem.numErasureSites());
         erasures.set(static_cast<size_t>(ch.erasureSite), true);
-        for (const auto& o : ch.outcomes) {
-            if (o.detectors.empty())
+        for (const auto& o : dem.outcomes(ch)) {
+            if (dem.detectors(o).empty())
                 continue;
-            BitVec det = syndromeOf(o.detectors, dem.numDetectors());
+            BitVec det = syndromeOf(dem.detectors(o), dem.numDetectors());
             EXPECT_EQ(uf.decodeWithErasures(det, erasures),
                       o.observables)
                 << "op " << ch.opIndex << " site " << ch.erasureSite;

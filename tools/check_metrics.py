@@ -12,7 +12,8 @@ downstream dashboard.
 
 Usage:
     check_metrics.py report.json [--trace trace.json]
-        [--require-counter NAME]...  [--require-points N]
+        [--require-counter NAME]...  [--require-histogram NAME]...
+        [--require-points N]
 
 Exit status: 0 when the report (and trace, if given) validates,
 1 otherwise with one line per problem.
@@ -147,6 +148,12 @@ def check_report(ck, doc, args):
                 "histograms: missing or not an object"):
         for name, h in histograms.items():
             check_histogram(ck, name, h)
+        for name in args.require_histogram:
+            h = histograms.get(name)
+            count = h.get("count", 0) if isinstance(h, dict) else 0
+            ck.check(isinstance(count, int) and count > 0,
+                     f"histograms[{name}]: required with count > 0, "
+                     f"got {h!r}")
 
     derived = doc.get("derived")
     if ck.check(isinstance(derived, dict),
@@ -211,6 +218,10 @@ def main():
                     metavar="NAME",
                     help="fail unless this counter is present and > 0 "
                          "(repeatable)")
+    ap.add_argument("--require-histogram", action="append", default=[],
+                    metavar="NAME",
+                    help="fail unless this histogram (a timed stage) is "
+                         "present with count > 0 (repeatable)")
     ap.add_argument("--require-points", type=int, default=1,
                     metavar="N",
                     help="minimum number of report points (default 1)")
