@@ -118,12 +118,10 @@ BM_Sample(benchmark::State& state)
 }
 BENCHMARK(BM_Sample)->Arg(3)->Arg(5)->Arg(7);
 
+/** One sample + MWPM decode per iteration on a memory circuit. */
 void
-BM_DecodeMwpm(benchmark::State& state)
+decodeMwpmLoop(benchmark::State& state, const GeneratedCircuit& gen)
 {
-    GeneratorConfig cfg = benchConfig(static_cast<int>(state.range(0)),
-                                      8e-3);
-    GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
     FaultSampler sampler(dem);
     MwpmDecoder decoder(dem);
@@ -136,7 +134,29 @@ BM_DecodeMwpm(benchmark::State& state)
         benchmark::DoNotOptimize(predicted);
     }
 }
-BENCHMARK(BM_DecodeMwpm)->Arg(3)->Arg(5)->Arg(7);
+
+void
+BM_DecodeMwpm(benchmark::State& state)
+{
+    decodeMwpmLoop(state, generateBaselineMemory(benchConfig(
+                              static_cast<int>(state.range(0)), 8e-3)));
+}
+BENCHMARK(BM_DecodeMwpm)->Arg(3)->Arg(5)->Arg(7)->Arg(9);
+
+/**
+ * MWPM decode on the Compact-Interleaved VLQ embedding (paper setup 4)
+ * at p = 4e-3, the benchmark's mwpm-compact workload at its higher
+ * rate.
+ */
+void
+BM_DecodeMwpmCompact(benchmark::State& state)
+{
+    GeneratorConfig cfg = benchConfig(static_cast<int>(state.range(0)),
+                                      4e-3);
+    cfg.schedule = ExtractionSchedule::Interleaved;
+    decodeMwpmLoop(state, generateCompactMemory(cfg));
+}
+BENCHMARK(BM_DecodeMwpmCompact)->Arg(5)->Arg(7)->Arg(9);
 
 /**
  * Pinned batched union-find decode: the same pre-sampled 256-shot

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/logging.h"
 
@@ -17,29 +18,57 @@ namespace {
 class Matcher
 {
   public:
-    Matcher(int n, const std::vector<MatchEdge>& input, bool maxCardinality)
-        : n_(n), maxCard_(maxCardinality)
+    /**
+     * Load a new instance. Every buffer is re-initialised in place, so
+     * a long-lived (per-thread) Matcher allocates only when an
+     * instance is larger than any it has seen. With `complement` set
+     * each weight w becomes maxW + 1 - w (maxW over the instance, and
+     * at least 0), which turns maximum weight into minimum weight
+     * without a flipped copy of the edge list.
+     */
+    void
+    reset(int n, const std::vector<MatchEdge>& input, bool maxCardinality,
+          bool complement)
     {
-        edges_.reserve(input.size());
+        n_ = n;
+        maxCard_ = maxCardinality;
+        double flipBase = 0.0;
+        if (complement) {
+            for (const auto& e : input)
+                flipBase = std::max(flipBase, e.weight);
+            flipBase += 1.0;
+        }
+        edges_.clear();
         int64_t maxw = 0;
         for (const auto& e : input) {
             VLQ_ASSERT(e.u != e.v, "self loop in matching graph");
             VLQ_ASSERT(e.u >= 0 && e.u < n && e.v >= 0 && e.v < n,
                        "matching edge endpoint out of range");
+            double weight = complement ? flipBase - e.weight : e.weight;
             // Scale to even integers for exact dual arithmetic.
-            int64_t w = 2 * llround(e.weight * kScale);
+            int64_t w = 2 * llround(weight * kScale);
             edges_.push_back(Edge{e.u, e.v, w});
             maxw = std::max(maxw, w);
         }
         const int m = static_cast<int>(edges_.size());
 
+        // Endpoint lists in CSR form: vertex v's entries, in edge
+        // order, are neighbend_[neighbegin_[v] .. neighbegin_[v+1]).
         endpoint_.resize(2 * m);
-        neighbend_.assign(n_, {});
+        neighbegin_.assign(n_ + 1, 0);
         for (int k = 0; k < m; ++k) {
             endpoint_[2 * k] = edges_[k].u;
             endpoint_[2 * k + 1] = edges_[k].v;
-            neighbend_[edges_[k].u].push_back(2 * k + 1);
-            neighbend_[edges_[k].v].push_back(2 * k);
+            ++neighbegin_[edges_[k].u + 1];
+            ++neighbegin_[edges_[k].v + 1];
+        }
+        for (int v = 0; v < n_; ++v)
+            neighbegin_[v + 1] += neighbegin_[v];
+        neighbend_.resize(2 * m);
+        fill_.assign(neighbegin_.begin(), neighbegin_.end() - 1);
+        for (int k = 0; k < m; ++k) {
+            neighbend_[fill_[edges_[k].u]++] = 2 * k + 1;
+            neighbend_[fill_[edges_[k].v]++] = 2 * k;
         }
 
         mate_.assign(n_, -1);
@@ -49,39 +78,49 @@ class Matcher
         for (int v = 0; v < n_; ++v)
             inblossom_[v] = v;
         blossomparent_.assign(2 * n_, -1);
-        blossomchilds_.assign(2 * n_, {});
         blossombase_.resize(2 * n_);
         for (int v = 0; v < n_; ++v)
             blossombase_[v] = v;
         for (int b = n_; b < 2 * n_; ++b)
             blossombase_[b] = -1;
-        blossomendps_.assign(2 * n_, {});
+        // Grow-only: inner lists keep their capacity across instances.
+        if (blossomchilds_.size() < static_cast<size_t>(2 * n_)) {
+            blossomchilds_.resize(2 * n_);
+            blossomendps_.resize(2 * n_);
+            blossombestedges_.resize(2 * n_);
+        }
+        for (int b = 0; b < 2 * n_; ++b) {
+            blossomchilds_[b].clear();
+            blossomendps_[b].clear();
+            blossombestedges_[b].clear();
+        }
         bestedge_.assign(2 * n_, -1);
-        blossombestedges_.assign(2 * n_, {});
-        hasBestList_.assign(2 * n_, false);
+        hasBestList_.assign(2 * n_, 0);
+        unusedblossoms_.clear();
         for (int b = 2 * n_ - 1; b >= n_; --b)
             unusedblossoms_.push_back(b);
         dualvar_.assign(2 * n_, 0);
         for (int v = 0; v < n_; ++v)
             dualvar_[v] = maxw;
-        allowedge_.assign(m, false);
+        allowedge_.assign(m, 0);
+        queue_.clear();
     }
 
-    std::vector<int>
-    run()
+    /** Solve the loaded instance; mate[v] = partner of v or -1. */
+    void
+    run(std::vector<int>& mate)
     {
         for (int t = 0; t < n_; ++t) {
             if (!stage())
                 break;
         }
-        std::vector<int> result(n_, -1);
+        mate.assign(n_, -1);
         for (int v = 0; v < n_; ++v)
             if (mate_[v] >= 0)
-                result[v] = endpoint_[mate_[v]];
+                mate[v] = endpoint_[mate_[v]];
         for (int v = 0; v < n_; ++v)
-            VLQ_ASSERT(result[v] == -1 || result[result[v]] == v,
+            VLQ_ASSERT(mate[v] == -1 || mate[mate[v]] == v,
                        "matching is not symmetric");
-        return result;
     }
 
   private:
@@ -94,11 +133,12 @@ class Matcher
         int64_t w;
     };
 
-    int n_;
-    bool maxCard_;
+    int n_ = 0;
+    bool maxCard_ = false;
     std::vector<Edge> edges_;
     std::vector<int> endpoint_;
-    std::vector<std::vector<int>> neighbend_;
+    std::vector<int> neighbegin_;
+    std::vector<int> neighbend_;
     std::vector<int> mate_;
     std::vector<int> label_;
     std::vector<int> labelend_;
@@ -109,11 +149,23 @@ class Matcher
     std::vector<std::vector<int>> blossomendps_;
     std::vector<int> bestedge_;
     std::vector<std::vector<int>> blossombestedges_;
-    std::vector<bool> hasBestList_;
+    std::vector<uint8_t> hasBestList_;
     std::vector<int> unusedblossoms_;
     std::vector<int64_t> dualvar_;
-    std::vector<bool> allowedge_;
+    std::vector<uint8_t> allowedge_;
     std::vector<int> queue_;
+    // Scratch of single (non-reentrant) calls.
+    std::vector<int> fill_;
+    std::vector<int> path_;
+    std::vector<int> endps_;
+    std::vector<int> bestedgeto_;
+
+    std::span<const int>
+    neighbors(int v) const
+    {
+        return std::span<const int>(neighbend_)
+            .subspan(neighbegin_[v], neighbegin_[v + 1] - neighbegin_[v]);
+    }
 
     int64_t
     slack(int k) const
@@ -122,15 +174,31 @@ class Matcher
              - 2 * edges_[k].w;
     }
 
-    void
-    blossomLeaves(int b, std::vector<int>& out) const
+    /**
+     * Visit the vertices inside blossom b in child order until `f`
+     * returns true; returns whether it did. `f` may relabel vertices
+     * but must not restructure blossoms.
+     */
+    template <typename F>
+    bool
+    anyLeaf(int b, F&& f) const
     {
-        if (b < n_) {
-            out.push_back(b);
-            return;
-        }
+        if (b < n_)
+            return f(b);
         for (int t : blossomchilds_[b])
-            blossomLeaves(t, out);
+            if (anyLeaf(t, f))
+                return true;
+        return false;
+    }
+
+    template <typename F>
+    void
+    forEachLeaf(int b, F&& f) const
+    {
+        anyLeaf(b, [&](int v) {
+            f(v);
+            return false;
+        });
     }
 
     void
@@ -142,9 +210,7 @@ class Matcher
         labelend_[w] = labelend_[b] = p;
         bestedge_[w] = bestedge_[b] = -1;
         if (t == 1) {
-            std::vector<int> leaves;
-            blossomLeaves(b, leaves);
-            queue_.insert(queue_.end(), leaves.begin(), leaves.end());
+            forEachLeaf(b, [&](int v) { queue_.push_back(v); });
         } else {
             int base = blossombase_[b];
             VLQ_ASSERT(mate_[base] >= 0, "T-blossom base unmatched");
@@ -155,7 +221,7 @@ class Matcher
     int
     scanBlossom(int v, int w)
     {
-        std::vector<int> path;
+        path_.clear();
         int base = -1;
         while (v != -1 || w != -1) {
             int b = inblossom_[v];
@@ -164,7 +230,7 @@ class Matcher
                 break;
             }
             VLQ_ASSERT(label_[b] == 1, "scanBlossom expects S-blossom");
-            path.push_back(b);
+            path_.push_back(b);
             label_[b] |= 4;
             VLQ_ASSERT(labelend_[b] == mate_[blossombase_[b]],
                        "S-blossom labelend mismatch");
@@ -180,7 +246,7 @@ class Matcher
             if (w != -1)
                 std::swap(v, w);
         }
-        for (int b : path)
+        for (int b : path_)
             label_[b] &= ~4;
         return base;
     }
@@ -202,12 +268,12 @@ class Matcher
         blossomparent_[b] = -1;
         blossomparent_[bb] = b;
 
-        std::vector<int> path;
-        std::vector<int> endps;
+        path_.clear();
+        endps_.clear();
         while (bv != bb) {
             blossomparent_[bv] = b;
-            path.push_back(bv);
-            endps.push_back(labelend_[bv]);
+            path_.push_back(bv);
+            endps_.push_back(labelend_[bv]);
             VLQ_ASSERT(label_[bv] == 2 ||
                            (label_[bv] == 1 &&
                             labelend_[bv] == mate_[blossombase_[bv]]),
@@ -216,14 +282,14 @@ class Matcher
             v = endpoint_[labelend_[bv]];
             bv = inblossom_[v];
         }
-        path.push_back(bb);
-        std::reverse(path.begin(), path.end());
-        std::reverse(endps.begin(), endps.end());
-        endps.push_back(2 * k);
+        path_.push_back(bb);
+        std::reverse(path_.begin(), path_.end());
+        std::reverse(endps_.begin(), endps_.end());
+        endps_.push_back(2 * k);
         while (bw != bb) {
             blossomparent_[bw] = b;
-            path.push_back(bw);
-            endps.push_back(labelend_[bw] ^ 1);
+            path_.push_back(bw);
+            endps_.push_back(labelend_[bw] ^ 1);
             VLQ_ASSERT(label_[bw] == 2 ||
                            (label_[bw] == 1 &&
                             labelend_[bw] == mate_[blossombase_[bw]]),
@@ -232,62 +298,53 @@ class Matcher
             w = endpoint_[labelend_[bw]];
             bw = inblossom_[w];
         }
-        blossomchilds_[b] = std::move(path);
-        blossomendps_[b] = std::move(endps);
+        blossomchilds_[b].assign(path_.begin(), path_.end());
+        blossomendps_[b].assign(endps_.begin(), endps_.end());
 
         VLQ_ASSERT(label_[bb] == 1, "blossom base must be S");
         label_[b] = 1;
         labelend_[b] = labelend_[bb];
         dualvar_[b] = 0;
 
-        std::vector<int> leaves;
-        blossomLeaves(b, leaves);
-        for (int leaf : leaves) {
+        forEachLeaf(b, [&](int leaf) {
             if (label_[inblossom_[leaf]] == 2)
                 queue_.push_back(leaf);
             inblossom_[leaf] = b;
-        }
+        });
 
         // Recompute best edges into neighboring S-blossoms.
-        std::vector<int> bestedgeto(2 * n_, -1);
-        for (int child : blossomchilds_[b]) {
-            std::vector<std::vector<int>> nblists;
-            if (!hasBestList_[child]) {
-                std::vector<int> childLeaves;
-                blossomLeaves(child, childLeaves);
-                for (int leaf : childLeaves) {
-                    std::vector<int> ks;
-                    ks.reserve(neighbend_[leaf].size());
-                    for (int p : neighbend_[leaf])
-                        ks.push_back(p / 2);
-                    nblists.push_back(std::move(ks));
-                }
-            } else {
-                nblists.push_back(blossombestedges_[child]);
+        bestedgeto_.assign(2 * n_, -1);
+        auto consider = [&](int kk) {
+            int i = edges_[kk].u;
+            int j = edges_[kk].v;
+            if (inblossom_[j] == b)
+                std::swap(i, j);
+            int bj = inblossom_[j];
+            if (bj != b && label_[bj] == 1 &&
+                (bestedgeto_[bj] == -1 ||
+                 slack(kk) < slack(bestedgeto_[bj]))) {
+                bestedgeto_[bj] = kk;
             }
-            for (const auto& nblist : nblists) {
-                for (int kk : nblist) {
-                    int i = edges_[kk].u;
-                    int j = edges_[kk].v;
-                    if (inblossom_[j] == b)
-                        std::swap(i, j);
-                    int bj = inblossom_[j];
-                    if (bj != b && label_[bj] == 1 &&
-                        (bestedgeto[bj] == -1 ||
-                         slack(kk) < slack(bestedgeto[bj]))) {
-                        bestedgeto[bj] = kk;
-                    }
-                }
+        };
+        for (int child : blossomchilds_[b]) {
+            if (!hasBestList_[child]) {
+                forEachLeaf(child, [&](int leaf) {
+                    for (int p : neighbors(leaf))
+                        consider(p / 2);
+                });
+            } else {
+                for (int kk : blossombestedges_[child])
+                    consider(kk);
             }
             blossombestedges_[child].clear();
-            hasBestList_[child] = false;
+            hasBestList_[child] = 0;
             bestedge_[child] = -1;
         }
         blossombestedges_[b].clear();
-        for (int kk : bestedgeto)
+        for (int kk : bestedgeto_)
             if (kk != -1)
                 blossombestedges_[b].push_back(kk);
-        hasBestList_[b] = true;
+        hasBestList_[b] = 1;
         bestedge_[b] = -1;
         for (int kk : blossombestedges_[b])
             if (bestedge_[b] == -1 || slack(kk) < slack(bestedge_[b]))
@@ -304,10 +361,7 @@ class Matcher
             } else if (endstage && dualvar_[s] == 0) {
                 expandBlossom(s, endstage);
             } else {
-                std::vector<int> leaves;
-                blossomLeaves(s, leaves);
-                for (int v : leaves)
-                    inblossom_[v] = s;
+                forEachLeaf(s, [&](int v) { inblossom_[v] = s; });
             }
         }
         if (!endstage && label_[b] == 2) {
@@ -346,10 +400,10 @@ class Matcher
                 label_[endpoint_[endpAt(j - endptrick) ^ endptrick ^ 1]]
                     = 0;
                 assignLabel(endpoint_[p ^ 1], 2, p);
-                allowedge_[endpAt(j - endptrick) / 2] = true;
+                allowedge_[endpAt(j - endptrick) / 2] = 1;
                 j += jstep;
                 p = endpAt(j - endptrick) ^ endptrick;
-                allowedge_[p / 2] = true;
+                allowedge_[p / 2] = 1;
                 j += jstep;
             }
             // Relabel the base T-sub-blossom without stepping through.
@@ -367,15 +421,13 @@ class Matcher
                     j += jstep;
                     continue;
                 }
-                std::vector<int> leaves;
-                blossomLeaves(bv, leaves);
                 int labeled = -1;
-                for (int v : leaves) {
-                    if (label_[v] != 0) {
-                        labeled = v;
-                        break;
-                    }
-                }
+                anyLeaf(bv, [&](int v) {
+                    if (label_[v] == 0)
+                        return false;
+                    labeled = v;
+                    return true;
+                });
                 if (labeled != -1) {
                     VLQ_ASSERT(label_[labeled] == 2, "expected T label");
                     VLQ_ASSERT(inblossom_[labeled] == bv,
@@ -393,7 +445,7 @@ class Matcher
         blossomendps_[b].clear();
         blossombase_[b] = -1;
         blossombestedges_[b].clear();
-        hasBestList_[b] = false;
+        hasBestList_[b] = 0;
         bestedge_[b] = -1;
         unusedblossoms_.push_back(b);
     }
@@ -495,9 +547,9 @@ class Matcher
         }
         for (int b = n_; b < 2 * n_; ++b) {
             blossombestedges_[b].clear();
-            hasBestList_[b] = false;
+            hasBestList_[b] = 0;
         }
-        std::fill(allowedge_.begin(), allowedge_.end(), false);
+        std::fill(allowedge_.begin(), allowedge_.end(), 0);
         queue_.clear();
         for (int v = 0; v < n_; ++v)
             if (mate_[v] == -1 && label_[inblossom_[v]] == 0)
@@ -509,7 +561,7 @@ class Matcher
                 int v = queue_.back();
                 queue_.pop_back();
                 VLQ_ASSERT(label_[inblossom_[v]] == 1, "queue not S");
-                for (int p : neighbend_[v]) {
+                for (int p : neighbors(v)) {
                     int k = p / 2;
                     int w = endpoint_[p];
                     if (inblossom_[v] == inblossom_[w])
@@ -518,7 +570,7 @@ class Matcher
                     if (!allowedge_[k]) {
                         kslack = slack(k);
                         if (kslack <= 0)
-                            allowedge_[k] = true;
+                            allowedge_[k] = 1;
                     }
                     if (allowedge_[k]) {
                         if (label_[inblossom_[w]] == 0) {
@@ -630,14 +682,14 @@ class Matcher
             if (deltatype == 1) {
                 break; // optimum reached
             } else if (deltatype == 2) {
-                allowedge_[deltaedge] = true;
+                allowedge_[deltaedge] = 1;
                 int i = edges_[deltaedge].u;
                 if (label_[inblossom_[i]] == 0)
                     i = edges_[deltaedge].v;
                 VLQ_ASSERT(label_[inblossom_[i]] == 1, "delta2 not S");
                 queue_.push_back(i);
             } else if (deltatype == 3) {
-                allowedge_[deltaedge] = true;
+                allowedge_[deltaedge] = 1;
                 int i = edges_[deltaedge].u;
                 VLQ_ASSERT(label_[inblossom_[i]] == 1, "delta3 not S");
                 queue_.push_back(i);
@@ -657,34 +709,52 @@ class Matcher
     }
 };
 
+/**
+ * Load and solve one instance on the calling thread's Matcher. Decoders
+ * call this once per shot, so the buffers live as long as the thread.
+ */
+void
+solve(int numVertices, const std::vector<MatchEdge>& edges,
+      bool maxCardinality, bool complement, std::vector<int>& mate)
+{
+    if (numVertices == 0 || edges.empty()) {
+        mate.assign(static_cast<size_t>(numVertices), -1);
+        return;
+    }
+    static thread_local Matcher matcher;
+    matcher.reset(numVertices, edges, maxCardinality, complement);
+    matcher.run(mate);
+}
+
 } // namespace
 
 std::vector<int>
 maxWeightMatching(int numVertices, const std::vector<MatchEdge>& edges,
                   bool maxCardinality)
 {
-    if (numVertices == 0 || edges.empty())
-        return std::vector<int>(static_cast<size_t>(numVertices), -1);
-    Matcher matcher(numVertices, edges, maxCardinality);
-    return matcher.run();
+    std::vector<int> mate;
+    solve(numVertices, edges, maxCardinality, false, mate);
+    return mate;
+}
+
+void
+minWeightPerfectMatching(int numVertices, const std::vector<MatchEdge>& edges,
+                         std::vector<int>& mate)
+{
+    // Complement weights: maximizing sum of (maxW + 1 - w) over a
+    // maximum-cardinality matching minimizes sum(w) over perfect
+    // matchings.
+    solve(numVertices, edges, true, true, mate);
+    for (int v = 0; v < numVertices; ++v)
+        VLQ_ASSERT(mate[static_cast<size_t>(v)] >= 0,
+                   "graph admits no perfect matching");
 }
 
 std::vector<int>
 minWeightPerfectMatching(int numVertices, const std::vector<MatchEdge>& edges)
 {
-    // Complement weights: maximizing sum of (maxW + 1 - w) over a
-    // maximum-cardinality matching minimizes sum(w) over perfect
-    // matchings.
-    double maxw = 0.0;
-    for (const auto& e : edges)
-        maxw = std::max(maxw, e.weight);
-    std::vector<MatchEdge> flipped = edges;
-    for (auto& e : flipped)
-        e.weight = maxw + 1.0 - e.weight;
-    std::vector<int> mate = maxWeightMatching(numVertices, flipped, true);
-    for (int v = 0; v < numVertices; ++v)
-        VLQ_ASSERT(mate[static_cast<size_t>(v)] >= 0,
-                   "graph admits no perfect matching");
+    std::vector<int> mate;
+    minWeightPerfectMatching(numVertices, edges, mate);
     return mate;
 }
 

@@ -20,7 +20,9 @@ struct MatchEdge
  * Implementation of Galil's O(V^3) blossom algorithm (the formulation
  * popularized by van Rantwijk and used by networkx). Weights are scaled
  * to even integers internally so that all dual-variable arithmetic is
- * exact; results are deterministic.
+ * exact; results are deterministic. Each thread keeps one solver whose
+ * buffers are re-initialised per call, so repeated calls allocate only
+ * when an instance outgrows every earlier one.
  *
  * @param numVertices vertex count (vertices are 0..numVertices-1).
  * @param edges       edge list; parallel edges and self-loops are
@@ -36,8 +38,14 @@ std::vector<int> maxWeightMatching(int numVertices,
 /**
  * Exact minimum-weight perfect matching: complement weights and run
  * max-cardinality maximum-weight matching. The graph must admit a
- * perfect matching (checked: aborts otherwise).
+ * perfect matching (checked: aborts otherwise). Writes mate[v] for
+ * every vertex into `mate`, reusing its capacity.
  */
+void minWeightPerfectMatching(int numVertices,
+                              const std::vector<MatchEdge>& edges,
+                              std::vector<int>& mate);
+
+/** Convenience form of minWeightPerfectMatching returning the mates. */
 std::vector<int> minWeightPerfectMatching(
     int numVertices, const std::vector<MatchEdge>& edges);
 

@@ -4,6 +4,8 @@
 #include <limits>
 #include <queue>
 
+#include "util/logging.h"
+
 namespace vlq {
 
 namespace {
@@ -21,6 +23,12 @@ MatchingGraph::build(const DetectorErrorModel& dem)
 MatchingGraph
 MatchingGraph::build(const DecodingGraph& graph)
 {
+    // Path observables are stored one byte per node pair.
+    for (const DecodingEdge& e : graph.edges())
+        VLQ_ASSERT(e.observables <= 0xFFu,
+                   "MatchingGraph supports observables 0-7 only; an "
+                   "edge flips a higher observable bit");
+
     MatchingGraph g;
     g.numNodes_ = graph.numDetectors();
     g.edgeCount_ = graph.edges().size();

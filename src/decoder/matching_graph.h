@@ -25,7 +25,11 @@ class MatchingGraph
 
     static MatchingGraph build(const DetectorErrorModel& dem);
 
-    /** Run all-pairs shortest paths over an existing sparse graph. */
+    /**
+     * Run all-pairs shortest paths over an existing sparse graph.
+     * Path observables are kept as one byte per node pair, so every
+     * edge mask must fit in bits 0-7 (checked: aborts otherwise).
+     */
     static MatchingGraph build(const DecodingGraph& graph);
 
     /** Number of detector nodes (excludes the boundary). */
@@ -55,7 +59,7 @@ class MatchingGraph
 
     // Dense tables: index boundary as node numNodes_.
     std::vector<float> dist_;     // (numNodes_+1)^2
-    std::vector<uint8_t> obs_;    // observable masks along paths
+    std::vector<uint8_t> obs_;    // observable masks (bits 0-7) along paths
 
     uint32_t stride() const { return numNodes_ + 1; }
 };

@@ -17,7 +17,7 @@ MwpmDecoder::MwpmDecoder(const DetectorErrorModel& dem)
 uint32_t
 MwpmDecoder::decode(const BitVec& detectorFlips) const
 {
-    return decodeEvents(detectorFlips.onesIndices());
+    return matchEvents(detectorFlips.onesIndices());
 }
 
 void
@@ -26,50 +26,157 @@ MwpmDecoder::decodeBatch(const ShotBatch& batch,
 {
     decodeBatchEvents(batch, predictions,
                       [this](const std::vector<uint32_t>& events) {
-                          return decodeEvents(events);
+                          return matchEvents(events);
                       });
 }
 
-uint32_t
-MwpmDecoder::decodeEvents(const std::vector<uint32_t>& events) const
+namespace {
+
+/** Per-thread scratch of MwpmDecoder::matchEvents, reused across shots. */
+struct MatchScratch
 {
+    std::vector<double> boundary;   // b(i) per event
+    std::vector<double> pair;       // d(i, j) for i < j, row-major m x m
+    std::vector<int> parent;        // union-find over events
+    std::vector<int> compStart;     // CSR of components over `members`
+    std::vector<int> members;       // event indices, ascending per comp
+    std::vector<int> fill;
+    std::vector<MatchEdge> edges;
+    std::vector<int> mate;
+
+    int
+    find(int v)
+    {
+        while (parent[static_cast<size_t>(v)] != v) {
+            int& p = parent[static_cast<size_t>(v)];
+            p = parent[static_cast<size_t>(p)];
+            v = p;
+        }
+        return v;
+    }
+};
+
+} // namespace
+
+uint32_t
+MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
+                         double* weight) const
+{
+    if (weight)
+        *weight = 0.0;
     const int m = static_cast<int>(events.size());
     if (m == 0)
         return 0;
 
-    // Nodes 0..m-1: events; m..2m-1: private boundary copies. The edge
-    // buffer keeps its capacity across shots of a batch.
-    static thread_local std::vector<MatchEdge> edges;
-    edges.clear();
-    edges.reserve(static_cast<size_t>(m) * m + m);
-    for (int i = 0; i < m; ++i) {
-        for (int j = i + 1; j < m; ++j) {
-            double w = graph_.distance(events[static_cast<size_t>(i)],
-                                       events[static_cast<size_t>(j)]);
-            if (std::isfinite(w))
-                edges.push_back(MatchEdge{i, j, w});
-        }
-        double wb =
-            graph_.boundaryDistance(events[static_cast<size_t>(i)]);
-        if (std::isfinite(wb))
-            edges.push_back(MatchEdge{i, m + i, wb});
-        for (int j = i + 1; j < m; ++j)
-            edges.push_back(MatchEdge{m + i, m + j, 0.0});
+    static thread_local MatchScratch s;
+    const auto um = static_cast<size_t>(m);
+    s.boundary.resize(um);
+    s.pair.resize(um * um);
+    s.parent.resize(um);
+    for (size_t i = 0; i < um; ++i) {
+        s.boundary[i] = graph_.boundaryDistance(events[i]);
+        s.parent[i] = static_cast<int>(i);
     }
 
-    std::vector<int> mate = minWeightPerfectMatching(2 * m, edges);
+    // Component split: events i and j share a component only when
+    // pairing them can beat sending both to the boundary. Any optimal
+    // pair failing that test swaps for two boundary matches at no
+    // cost, so components match independently.
+    for (size_t i = 0; i < um; ++i) {
+        for (size_t j = i + 1; j < um; ++j) {
+            const double d = graph_.distance(events[i], events[j]);
+            s.pair[i * um + j] = d;
+            if (d < s.boundary[i] + s.boundary[j]) {
+                int ri = s.find(static_cast<int>(i));
+                int rj = s.find(static_cast<int>(j));
+                if (ri != rj)
+                    s.parent[static_cast<size_t>(std::max(ri, rj))] =
+                        std::min(ri, rj);
+            }
+        }
+    }
 
+    // Group events by component root (the component's smallest
+    // event), ascending within each component.
+    s.compStart.assign(um + 1, 0);
+    for (int i = 0; i < m; ++i)
+        ++s.compStart[static_cast<size_t>(s.find(i)) + 1];
+    for (size_t r = 0; r < um; ++r)
+        s.compStart[r + 1] += s.compStart[r];
+    s.members.resize(um);
+    s.fill.assign(s.compStart.begin(), s.compStart.end() - 1);
+    for (int i = 0; i < m; ++i)
+        s.members[static_cast<size_t>(
+            s.fill[static_cast<size_t>(s.find(i))]++)] = i;
+
+    double total = 0.0;
     uint32_t obs = 0;
-    for (int i = 0; i < m; ++i) {
-        int j = mate[static_cast<size_t>(i)];
-        if (j == m + i) {
-            obs ^= graph_.boundaryObservables(
-                events[static_cast<size_t>(i)]);
-        } else if (j > i && j < m) {
-            obs ^= graph_.pathObservables(events[static_cast<size_t>(i)],
-                                          events[static_cast<size_t>(j)]);
+    for (size_t r = 0; r < um; ++r) {
+        const int* comp = s.members.data() + s.compStart[r];
+        const int k = s.compStart[r + 1] - s.compStart[r];
+        if (k == 0)
+            continue;
+        if (k == 1) {
+            const auto a = static_cast<size_t>(comp[0]);
+            VLQ_ASSERT(std::isfinite(s.boundary[a]),
+                       "graph admits no perfect matching");
+            total += s.boundary[a];
+            obs ^= graph_.boundaryObservables(events[a]);
+            continue;
+        }
+        if (k == 2) {
+            const auto a = static_cast<size_t>(comp[0]);
+            const auto b = static_cast<size_t>(comp[1]);
+            total += s.pair[a * um + b];
+            obs ^= graph_.pathObservables(events[a], events[b]);
+            continue;
+        }
+
+        // k events, plus one boundary vertex (index k) when k is odd.
+        // A pair's edge weighs min(d(i,j), b(i)+b(j)), the second term
+        // standing for both events matching the boundary. The table's
+        // d(i,j) may already run through the boundary, so that term
+        // wins only by float rounding of the stored distances; keeping
+        // it gives exactly the boundary-copy formulation's options.
+        s.edges.clear();
+        for (int x = 0; x < k; ++x) {
+            const auto a = static_cast<size_t>(comp[x]);
+            for (int y = x + 1; y < k; ++y) {
+                const auto b = static_cast<size_t>(comp[y]);
+                double w = std::min(s.pair[a * um + b],
+                                    s.boundary[a] + s.boundary[b]);
+                if (std::isfinite(w))
+                    s.edges.push_back(MatchEdge{x, y, w});
+            }
+            if ((k & 1) && std::isfinite(s.boundary[a]))
+                s.edges.push_back(MatchEdge{x, k, s.boundary[a]});
+        }
+        minWeightPerfectMatching(k + (k & 1), s.edges, s.mate);
+
+        for (int x = 0; x < k; ++x) {
+            const int y = s.mate[static_cast<size_t>(x)];
+            const auto a = static_cast<size_t>(comp[x]);
+            if (y == k) {
+                total += s.boundary[a];
+                obs ^= graph_.boundaryObservables(events[a]);
+                continue;
+            }
+            if (y < x)
+                continue;
+            const auto b = static_cast<size_t>(comp[y]);
+            const double viaBoundary = s.boundary[a] + s.boundary[b];
+            if (viaBoundary < s.pair[a * um + b]) {
+                total += viaBoundary;
+                obs ^= graph_.boundaryObservables(events[a])
+                     ^ graph_.boundaryObservables(events[b]);
+            } else {
+                total += s.pair[a * um + b];
+                obs ^= graph_.pathObservables(events[a], events[b]);
+            }
         }
     }
+    if (weight)
+        *weight = total;
     return obs;
 }
 

@@ -15,12 +15,25 @@ namespace vlq {
  * Minimum-weight perfect-matching decoder (the paper's "maximum
  * likelihood perfect matching").
  *
- * Detection events form a complete graph weighted by precomputed
- * shortest-path distances in the decoding graph; each event also gets a
- * private boundary copy, and boundary copies interconnect at zero
- * weight so unused ones pair off. The exact blossom algorithm finds the
- * minimum-weight perfect matching, and the XOR of the observable masks
- * along the matched paths is the correction's effect on the logicals.
+ * Each detection event either pairs with another event, at the
+ * precomputed shortest-path distance d(i,j) in the decoding graph, or
+ * goes to the boundary at its boundary distance b(i). A pair with
+ * d(i,j) >= b(i) + b(j) can always be swapped for two boundary matches
+ * at no cost (d may itself be a path through the boundary), so the
+ * events split into independent components joined only by pairs with
+ * d(i,j) < b(i) + b(j):
+ *  - a lone event goes to the boundary;
+ *  - two events take their direct path;
+ *  - k >= 3 events are one exact blossom instance on k vertices (plus
+ *    one boundary vertex when k is odd), with pair weights
+ *    min(d(i,j), b(i) + b(j)); a pair matched through the boundary
+ *    term contributes both events' boundary observables.
+ * The XOR of the observable masks along the matched paths is the
+ * correction's effect on the logicals. The total weight equals that of
+ * the textbook formulation (every event plus a private boundary copy,
+ * copies joined at zero weight) on 2m vertices, up to the blossom's
+ * 2^-20 weight rounding; test_decoder keeps that formulation as the
+ * reference.
  */
 class MwpmDecoder : public Decoder
 {
@@ -31,18 +44,24 @@ class MwpmDecoder : public Decoder
 
     /**
      * Batched decode: event lists come from one sparse sweep over the
-     * batch and the edge-list buffer is reused across shots (the
-     * all-pairs distance table is precomputed, so per-shot setup is
-     * the only scratch left to amortize).
+     * batch, and the per-shot scratch (distances, components, edge
+     * list, blossom buffers) is per-thread and reused across shots.
      */
     void decodeBatch(const ShotBatch& batch,
                      std::span<uint32_t> predictions) const override;
 
     const MatchingGraph& graph() const { return graph_; }
 
-  private:
-    uint32_t decodeEvents(const std::vector<uint32_t>& events) const;
+    /**
+     * Decode one shot's ascending event list. When `weight` is given
+     * it receives the total weight of the minimum-weight matching.
+     * Aborts when the events admit no perfect matching (an event with
+     * no finite path to any partner or to the boundary).
+     */
+    uint32_t matchEvents(const std::vector<uint32_t>& events,
+                         double* weight = nullptr) const;
 
+  private:
     MatchingGraph graph_;
 };
 

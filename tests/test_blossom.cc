@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "decoder/blossom.h"
@@ -312,6 +313,100 @@ TEST(Blossom, LargeCompleteGraphRuns)
     auto mate = maxWeightMatching(n, edges, true);
     for (int v = 0; v < n; ++v)
         EXPECT_GE(mate[static_cast<size_t>(v)], 0);
+}
+
+/** One maxWeightMatching / minWeightPerfectMatching call. */
+struct Instance
+{
+    int n;
+    std::vector<MatchEdge> edges;
+    bool maxCard;
+    bool minPerfect;
+
+    std::vector<int>
+    solve() const
+    {
+        return minPerfect ? minWeightPerfectMatching(n, edges)
+                          : maxWeightMatching(n, edges, maxCard);
+    }
+};
+
+std::vector<MatchEdge>
+oneBased(std::vector<MatchEdge> edges)
+{
+    for (auto& e : edges) {
+        --e.u;
+        --e.v;
+    }
+    return edges;
+}
+
+/**
+ * A random instance: n in [2, 70], edge density, integer (tie-heavy)
+ * or continuous weights and the solver mode all vary. Min-weight
+ * perfect instances are complete graphs on an even vertex count, so a
+ * perfect matching exists.
+ */
+Instance
+randomInstance(Rng& rng)
+{
+    Instance in;
+    in.n = 2 + static_cast<int>(rng.nextBelow(69));
+    in.minPerfect = in.n % 2 == 0 && rng.nextBelow(3) == 0;
+    in.maxCard = rng.nextBelow(2) == 0;
+    const double density = in.minPerfect ? 1.0 : 0.2 + 0.8 * rng.nextDouble();
+    const bool integral = rng.nextBelow(2) == 0;
+    for (int u = 0; u < in.n; ++u) {
+        for (int v = u + 1; v < in.n; ++v) {
+            if (rng.nextDouble() >= density)
+                continue;
+            double w = integral
+                ? static_cast<double>(rng.nextBelow(10))
+                : rng.nextDouble() * 10.0;
+            in.edges.push_back(MatchEdge{u, v, w});
+        }
+    }
+    return in;
+}
+
+TEST(Blossom, ReusedScratchMatchesFreshSolver)
+{
+    // Each thread keeps one solver and re-initialises it per call.
+    // Interleave instances of very different sizes on one thread --
+    // the networkx nested-blossom and relabel/expand cases, then
+    // random ones where a later, larger instance reuses earlier
+    // blossom ids as vertices -- and require every result to equal
+    // the same instance solved by a fresh solver on a fresh thread.
+    std::vector<Instance> instances = {
+        {8,
+         oneBased({{1, 2, 19}, {1, 3, 20}, {1, 8, 8}, {2, 3, 25},
+                   {2, 4, 18}, {3, 5, 18}, {4, 5, 13}, {4, 7, 7},
+                   {5, 6, 7}}),
+         false, false},
+        {2, {{0, 1, 5.0}}, false, false},
+        {10,
+         oneBased({{1, 2, 45}, {1, 5, 45}, {2, 3, 50}, {3, 4, 45},
+                   {4, 5, 50}, {1, 6, 30}, {3, 9, 35}, {4, 8, 35},
+                   {5, 7, 26}, {9, 10, 5}}),
+         false, false},
+    };
+    Rng rng(2718);
+    for (int i = 0; i < 150; ++i)
+        instances.push_back(randomInstance(rng));
+
+    std::vector<std::vector<int>> fresh(instances.size());
+    for (size_t i = 0; i < instances.size(); ++i) {
+        std::thread t([&, i] { fresh[i] = instances[i].solve(); });
+        t.join();
+    }
+    // The classic expectations (networkx) hold for the fresh solver.
+    EXPECT_EQ(fresh[0], (std::vector<int>{7, 2, 1, 6, 5, 4, 3, 0}));
+    EXPECT_EQ(fresh[2], (std::vector<int>{5, 2, 1, 7, 6, 0, 4, 3, 9, 8}));
+
+    for (size_t i = 0; i < instances.size(); ++i)
+        EXPECT_EQ(instances[i].solve(), fresh[i]) << "instance " << i;
+    for (size_t i = instances.size(); i-- > 0;)
+        EXPECT_EQ(instances[i].solve(), fresh[i]) << "reversed " << i;
 }
 
 } // namespace

@@ -7,6 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/generator_common.h"
+#include "decoder/mwpm_decoder.h"
+#include "dem/detector_model.h"
+#include "dem/sampler.h"
+#include "dem/shot_batch.h"
 #include "mc/monte_carlo.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -20,10 +25,11 @@
  * they exist to give ThreadSanitizer short racy windows to inspect:
  * control-plane requests (submit/cancel/requeue/shutdown) hammered
  * against a service mid-drain, metrics-shard churn from short-lived
- * threads racing snapshotMetrics(), and batch commits + checkpoint
- * saves issued from pool worker threads. CI runs the tier-1 suite --
- * including this file -- under -fsanitize=thread with both compute
- * backends (the `tsan` preset); a data race here is a bug, never a
+ * threads racing snapshotMetrics(), batch commits + checkpoint saves
+ * issued from pool worker threads, and MWPM batches decoded through
+ * one shared decoder from several threads. CI runs the tier-1 suite --
+ * including this file -- under -fsanitize=thread (the `tsan` preset);
+ * a data race here is a bug, never a
  * suppression (see docs/ARCHITECTURE.md, "Static analysis &
  * sanitizers").
  */
@@ -258,6 +264,48 @@ TEST(TsanStress, CrossThreadCheckpointCommitsResumeBitIdentically)
         << "preempt/resume across worker threads changed the counts";
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
+}
+
+/**
+ * Concurrent MWPM batches: three threads decode the same shared batch
+ * through one decoder, each on its own per-thread matching scratch and
+ * blossom solver, and must reproduce the single-threaded predictions.
+ */
+TEST(TsanStress, ConcurrentMwpmBatchesShareOneDecoder)
+{
+    GeneratorConfig cfg = stressPoint();
+    cfg.distance = 5;
+    cfg.schedule = ExtractionSchedule::Interleaved;
+    GeneratedCircuit gen = generateCompactMemory(cfg);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    FaultSampler sampler(dem);
+    const MwpmDecoder decoder(dem);
+
+    const uint32_t shots = 192;
+    ShotBatch batch;
+    batch.reset(dem.numDetectors(), dem.numObservables(), shots, 0);
+    sampler.sampleBatchInto(Rng(41), batch);
+    std::vector<uint32_t> expected(shots);
+    BitVec det(dem.numDetectors());
+    for (uint32_t s = 0; s < shots; ++s) {
+        batch.extractShot(s, det);
+        expected[s] = decoder.decode(det);
+    }
+
+    constexpr int kThreads = 3;
+    std::vector<std::vector<uint32_t>> got(
+        kThreads, std::vector<uint32_t>(shots));
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            for (int rep = 0; rep < 4; ++rep)
+                decoder.decodeBatch(batch, got[static_cast<size_t>(t)]);
+        });
+    }
+    for (std::thread& w : workers)
+        w.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[static_cast<size_t>(t)], expected) << "thread " << t;
 }
 
 } // namespace
