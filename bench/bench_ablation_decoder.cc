@@ -145,8 +145,8 @@ decodeTimingTable(CsvWriter* csv)
             std::unique_ptr<Decoder> dec = makeDecoder(kind, dem);
             uint32_t sink = 0;
             // Warm-up pass: long Monte-Carlo scans run decoders in
-            // steady state (union-find memoizes pair distances across
-            // shots), so that is what gets timed.
+            // steady state (each decoder fills its shortest-path rows
+            // on first use), so that is what gets timed.
             for (const BitVec& det : dets)
                 sink ^= dec->decode(det);
             auto t0 = std::chrono::steady_clock::now();
@@ -231,8 +231,7 @@ batchedThroughputTable(CsvWriter* csv)
             std::unique_ptr<Decoder> legacy;
             if (kind == DecoderKind::UnionFind)
                 legacy = std::make_unique<UnionFindDecoder>(
-                    dem, UnionFindOptions{.granularity = 32,
-                                          .exactSyndromeThreshold = 0});
+                    dem, UnionFindOptions{.exactSyndromeThreshold = 0});
             else
                 legacy = makeDecoder(kind, dem);
             uint32_t sink = 0;
@@ -263,11 +262,9 @@ batchedThroughputTable(CsvWriter* csv)
                     sink ^= legacy->decode(det) ^ obs;
                 }
             };
-            // Each pipeline is timed right after its own warm-up pass:
-            // long Monte-Carlo scans run in steady state (warm pair
-            // caches, sized scratch), and the union-find decoders'
-            // per-thread distance cache is keyed to the instance, so
-            // interleaving the two would re-pay every cache miss.
+            // Each pipeline is timed after a warm-up pass: long
+            // Monte-Carlo scans run in steady state (filled
+            // shortest-path rows, sized scratch).
             runScalar();
             auto t0 = std::chrono::steady_clock::now();
             runScalar();

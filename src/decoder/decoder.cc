@@ -6,11 +6,8 @@
 
 namespace vlq {
 
-namespace {
-
-/** Shots skipped (all-zero syndrome) vs decoded, per finished batch. */
 void
-countBatchShots(uint32_t shots, uint32_t trivial)
+Decoder::countBatchShots(uint32_t shots, uint32_t trivial)
 {
     if (!obs::metricsEnabled())
         return;
@@ -22,36 +19,6 @@ countBatchShots(uint32_t shots, uint32_t trivial)
     batches.add(1);
     decoded.add(shots);
     trivialShots.add(trivial);
-}
-
-} // namespace
-
-void
-Decoder::decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions) const
-{
-    VLQ_ASSERT(predictions.size() >= batch.numShots(),
-               "decodeBatch predictions span too small");
-    obs::StageTimer obsTimer("decode.batch");
-    uint32_t trivial = 0;
-    BitVec detectors(batch.numDetectors());
-    for (uint32_t wi = 0; wi < batch.wordsPerRow(); ++wi) {
-        uint64_t nonTrivial = batch.nonTrivialMask(wi);
-        uint32_t base = wi * ShotBatch::kWordBits;
-        uint32_t lanes = std::min<uint32_t>(ShotBatch::kWordBits,
-                                            batch.numShots() - base);
-        for (uint32_t lane = 0; lane < lanes; ++lane) {
-            uint32_t s = base + lane;
-            if (!((nonTrivial >> lane) & 1)) {
-                predictions[s] = 0;
-                ++trivial;
-                continue;
-            }
-            batch.extractShot(s, detectors);
-            predictions[s] = decode(detectors);
-        }
-    }
-    countBatchShots(batch.numShots(), trivial);
 }
 
 void

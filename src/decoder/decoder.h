@@ -30,16 +30,14 @@ class Decoder
      * predicted observable bitmask for shot s. `predictions` must
      * hold at least batch.numShots() entries.
      *
-     * The base implementation skips event-free shots word-parallel
-     * and falls back to scalar decode() for the rest; backends
-     * override it to reuse per-shot scratch (event lists, cluster
-     * arenas, edge buffers) across the whole batch. Overrides must
-     * agree with decode() shot-for-shot -- the batched Monte-Carlo
-     * engine's reproducibility contract depends on it, and the test
-     * suite checks it for every registered backend.
+     * Backends reuse per-shot scratch (event lists, cluster arenas,
+     * edge buffers) across the whole batch. They must agree with
+     * decode() shot-for-shot -- the batched Monte-Carlo engine's
+     * reproducibility contract depends on it, and the test suite
+     * checks it for every registered backend.
      */
     virtual void decodeBatch(const ShotBatch& batch,
-                             std::span<uint32_t> predictions) const;
+                             std::span<uint32_t> predictions) const = 0;
 
   protected:
     /**
@@ -53,6 +51,12 @@ class Decoder
         const ShotBatch& batch, std::span<uint32_t> predictions,
         const std::function<uint32_t(const std::vector<uint32_t>&)>&
             decodeEvents) const;
+
+    /**
+     * Record one finished batch in the decode.batches, decode.shots
+     * and decode.trivial_shots counters (no-op with metrics off).
+     */
+    static void countBatchShots(uint32_t shots, uint32_t trivial);
 };
 
 } // namespace vlq

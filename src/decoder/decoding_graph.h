@@ -31,9 +31,9 @@ struct DecodingEdge
  * (p = p1 + p2 - 2 p1 p2) and edge weights are the standard
  * log-likelihood ratios ln((1-p)/p).
  *
- * This is the shared substrate of all decoder backends: the matching
- * path runs all-pairs shortest paths over it, and the union-find path
- * grows clusters directly on the adjacency lists.
+ * This is the shared substrate of all decoder backends: every decoder
+ * reads shortest paths over it from a ShortestPaths oracle, and the
+ * union-find path also grows clusters directly on the adjacency lists.
  */
 class DecodingGraph
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "decoder/blossom.h"
 #include "dem/shot_batch.h"
@@ -9,8 +10,39 @@
 
 namespace vlq {
 
+namespace {
+
+/** The weight of matchingPair() from its three unrounded parts. */
+double
+matchingWeight(double bulk, double bu, double bv)
+{
+    return static_cast<float>(std::min(bulk, bu + bv));
+}
+
+} // namespace
+
+ShortestPath
+matchingPair(const ShortestPaths& paths, uint32_t u, uint32_t v)
+{
+    const ShortestPath bulk = paths.pair(u, v);
+    const ShortestPath bu = paths.boundary(u);
+    const ShortestPath bv = paths.boundary(v);
+    return ShortestPath{
+        matchingWeight(bulk.weight, bu.weight, bv.weight),
+        bulk.weight <= bu.weight + bv.weight
+            ? bulk.observables
+            : bu.observables ^ bv.observables};
+}
+
+ShortestPath
+matchingBoundary(const ShortestPaths& paths, uint32_t u)
+{
+    const ShortestPath b = paths.boundary(u);
+    return ShortestPath{static_cast<float>(b.weight), b.observables};
+}
+
 MwpmDecoder::MwpmDecoder(const DetectorErrorModel& dem)
-    : graph_(MatchingGraph::build(dem))
+    : paths_(DecodingGraph::build(dem))
 {
 }
 
@@ -35,11 +67,11 @@ namespace {
 /** Per-thread scratch of MwpmDecoder::matchEvents, reused across shots. */
 struct MatchScratch
 {
-    std::vector<double> boundary;   // b(i) per event
-    std::vector<double> pair;       // d(i, j) for i < j, row-major m x m
-    std::vector<int> parent;        // union-find over events
-    std::vector<int> compStart;     // CSR of components over `members`
-    std::vector<int> members;       // event indices, ascending per comp
+    std::vector<ShortestPath> boundary; // b(i) per event
+    std::vector<double> pair;    // d(i, j) for i < j, row-major m x m
+    std::vector<int> parent;     // union-find over events
+    std::vector<int> compStart;  // CSR of components over `members`
+    std::vector<int> members;    // event indices, ascending per comp
     std::vector<int> fill;
     std::vector<MatchEdge> edges;
     std::vector<int> mate;
@@ -67,6 +99,11 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
     const int m = static_cast<int>(events.size());
     if (m == 0)
         return 0;
+    // The component split reads pair (i, j) from row events[i].
+    VLQ_ASSERT(std::adjacent_find(events.begin(), events.end(),
+                                  std::greater_equal<>())
+                   == events.end(),
+               "matchEvents needs strictly ascending events");
 
     static thread_local MatchScratch s;
     const auto um = static_cast<size_t>(m);
@@ -74,19 +111,25 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
     s.pair.resize(um * um);
     s.parent.resize(um);
     for (size_t i = 0; i < um; ++i) {
-        s.boundary[i] = graph_.boundaryDistance(events[i]);
+        s.boundary[i] = matchingBoundary(paths_, events[i]);
         s.parent[i] = static_cast<int>(i);
     }
 
     // Component split: events i and j share a component only when
     // pairing them can beat sending both to the boundary. Any optimal
     // pair failing that test swaps for two boundary matches at no
-    // cost, so components match independently.
-    for (size_t i = 0; i < um; ++i) {
+    // cost, so components match independently. Events ascend, so
+    // each pair is read straight from row events[i] of the oracle.
+    for (size_t i = 0; i + 1 < um; ++i) {
+        const uint32_t u = events[i];
+        const double* row = paths_.rowWeights(u);
+        const double bu = paths_.boundary(u).weight;
         for (size_t j = i + 1; j < um; ++j) {
-            const double d = graph_.distance(events[i], events[j]);
+            const uint32_t v = events[j];
+            const double d = matchingWeight(
+                row[v - u - 1], bu, paths_.boundary(v).weight);
             s.pair[i * um + j] = d;
-            if (d < s.boundary[i] + s.boundary[j]) {
+            if (d < s.boundary[i].weight + s.boundary[j].weight) {
                 int ri = s.find(static_cast<int>(i));
                 int rj = s.find(static_cast<int>(j));
                 if (ri != rj)
@@ -118,17 +161,17 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
             continue;
         if (k == 1) {
             const auto a = static_cast<size_t>(comp[0]);
-            VLQ_ASSERT(std::isfinite(s.boundary[a]),
+            VLQ_ASSERT(std::isfinite(s.boundary[a].weight),
                        "graph admits no perfect matching");
-            total += s.boundary[a];
-            obs ^= graph_.boundaryObservables(events[a]);
+            total += s.boundary[a].weight;
+            obs ^= s.boundary[a].observables;
             continue;
         }
         if (k == 2) {
             const auto a = static_cast<size_t>(comp[0]);
             const auto b = static_cast<size_t>(comp[1]);
             total += s.pair[a * um + b];
-            obs ^= graph_.pathObservables(events[a], events[b]);
+            obs ^= matchingPair(paths_, events[a], events[b]).observables;
             continue;
         }
 
@@ -144,12 +187,13 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
             for (int y = x + 1; y < k; ++y) {
                 const auto b = static_cast<size_t>(comp[y]);
                 double w = std::min(s.pair[a * um + b],
-                                    s.boundary[a] + s.boundary[b]);
+                                    s.boundary[a].weight
+                                        + s.boundary[b].weight);
                 if (std::isfinite(w))
                     s.edges.push_back(MatchEdge{x, y, w});
             }
-            if ((k & 1) && std::isfinite(s.boundary[a]))
-                s.edges.push_back(MatchEdge{x, k, s.boundary[a]});
+            if ((k & 1) && std::isfinite(s.boundary[a].weight))
+                s.edges.push_back(MatchEdge{x, k, s.boundary[a].weight});
         }
         minWeightPerfectMatching(k + (k & 1), s.edges, s.mate);
 
@@ -157,21 +201,23 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
             const int y = s.mate[static_cast<size_t>(x)];
             const auto a = static_cast<size_t>(comp[x]);
             if (y == k) {
-                total += s.boundary[a];
-                obs ^= graph_.boundaryObservables(events[a]);
+                total += s.boundary[a].weight;
+                obs ^= s.boundary[a].observables;
                 continue;
             }
             if (y < x)
                 continue;
             const auto b = static_cast<size_t>(comp[y]);
-            const double viaBoundary = s.boundary[a] + s.boundary[b];
+            const double viaBoundary =
+                s.boundary[a].weight + s.boundary[b].weight;
             if (viaBoundary < s.pair[a * um + b]) {
                 total += viaBoundary;
-                obs ^= graph_.boundaryObservables(events[a])
-                     ^ graph_.boundaryObservables(events[b]);
+                obs ^= s.boundary[a].observables
+                     ^ s.boundary[b].observables;
             } else {
                 total += s.pair[a * um + b];
-                obs ^= graph_.pathObservables(events[a], events[b]);
+                obs ^= matchingPair(paths_, events[a], events[b])
+                           .observables;
             }
         }
     }
@@ -181,7 +227,7 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
 }
 
 GreedyDecoder::GreedyDecoder(const DetectorErrorModel& dem)
-    : graph_(MatchingGraph::build(dem))
+    : paths_(DecodingGraph::build(dem))
 {
 }
 
@@ -217,12 +263,17 @@ GreedyDecoder::decodeEvents(const std::vector<uint32_t>& events) const
     static thread_local std::vector<Cand> cands;
     cands.clear();
     for (uint32_t i = 0; i < m; ++i) {
+        const uint32_t u = events[i];
+        const double bu = paths_.boundary(u).weight;
+        const double* row = i + 1 < m ? paths_.rowWeights(u) : nullptr;
         for (uint32_t j = i + 1; j < m; ++j) {
-            double w = graph_.distance(events[i], events[j]);
+            const uint32_t v = events[j];
+            double w = matchingWeight(row[v - u - 1], bu,
+                                      paths_.boundary(v).weight);
             if (std::isfinite(w))
                 cands.push_back(Cand{w, i, j});
         }
-        double wb = graph_.boundaryDistance(events[i]);
+        double wb = matchingBoundary(paths_, u).weight;
         if (std::isfinite(wb))
             cands.push_back(Cand{wb, i, i});
     }
@@ -237,10 +288,11 @@ GreedyDecoder::decodeEvents(const std::vector<uint32_t>& events) const
             continue;
         used[c.i] = 1;
         if (c.j == c.i) {
-            obs ^= graph_.boundaryObservables(events[c.i]);
+            obs ^= matchingBoundary(paths_, events[c.i]).observables;
         } else {
             used[c.j] = 1;
-            obs ^= graph_.pathObservables(events[c.i], events[c.j]);
+            obs ^= matchingPair(paths_, events[c.i], events[c.j])
+                       .observables;
         }
     }
     return obs;

@@ -5,19 +5,36 @@
 #include <vector>
 
 #include "decoder/decoder.h"
-#include "decoder/matching_graph.h"
+#include "decoder/shortest_paths.h"
 #include "dem/detector_model.h"
 #include "pauli/bitvec.h"
 
 namespace vlq {
 
 /**
+ * The matching decoders' pair path between detectors u and v: the
+ * oracle's bulk path or the two boundary paths, whichever is shorter
+ * (ties keep the bulk path), with the weight rounded through float
+ * once. The rounding is kept from the all-pairs float table these
+ * decoders read before the shared oracle: over setups 0-4, d 3-9,
+ * p in {2e-3, 4e-3} and both bases this view reproduces every weight,
+ * path observable and boundary entry of that table exactly, so seeded
+ * counts stayed bit-identical.
+ */
+ShortestPath matchingPair(const ShortestPaths& paths, uint32_t u,
+                          uint32_t v);
+
+/** The matching decoders' boundary path of detector u (float-rounded). */
+ShortestPath matchingBoundary(const ShortestPaths& paths, uint32_t u);
+
+/**
  * Minimum-weight perfect-matching decoder (the paper's "maximum
  * likelihood perfect matching").
  *
  * Each detection event either pairs with another event, at the
- * precomputed shortest-path distance d(i,j) in the decoding graph, or
- * goes to the boundary at its boundary distance b(i). A pair with
+ * shortest-path distance d(i,j) = matchingPair() read from the shared
+ * ShortestPaths oracle (no all-pairs table: rows fill on first use),
+ * or goes to the boundary at its boundary distance b(i). A pair with
  * d(i,j) >= b(i) + b(j) can always be swapped for two boundary matches
  * at no cost (d may itself be a path through the boundary), so the
  * events split into independent components joined only by pairs with
@@ -50,19 +67,20 @@ class MwpmDecoder : public Decoder
     void decodeBatch(const ShotBatch& batch,
                      std::span<uint32_t> predictions) const override;
 
-    const MatchingGraph& graph() const { return graph_; }
+    const ShortestPaths& paths() const { return paths_; }
 
     /**
-     * Decode one shot's ascending event list. When `weight` is given
-     * it receives the total weight of the minimum-weight matching.
-     * Aborts when the events admit no perfect matching (an event with
-     * no finite path to any partner or to the boundary).
+     * Decode one shot's event list, which must ascend strictly
+     * (checked). When `weight` is given it receives the total weight
+     * of the minimum-weight matching. Aborts when the events admit no
+     * perfect matching (an event with no finite path to any partner
+     * or to the boundary).
      */
     uint32_t matchEvents(const std::vector<uint32_t>& events,
                          double* weight = nullptr) const;
 
   private:
-    MatchingGraph graph_;
+    ShortestPaths paths_;
 };
 
 /**
@@ -81,12 +99,10 @@ class GreedyDecoder : public Decoder
     void decodeBatch(const ShotBatch& batch,
                      std::span<uint32_t> predictions) const override;
 
-    const MatchingGraph& graph() const { return graph_; }
-
   private:
     uint32_t decodeEvents(const std::vector<uint32_t>& events) const;
 
-    MatchingGraph graph_;
+    ShortestPaths paths_;
 };
 
 } // namespace vlq

@@ -1,11 +1,8 @@
 #include "decoder/union_find.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
-#include <queue>
-#include <unordered_map>
 
 #include "dem/shot_batch.h"
 #include "obs/obs.h"
@@ -21,12 +18,12 @@ namespace {
  * allocate) and shared safely across decoder instances because decode()
  * never yields mid-use.
  *
- * Stamps (stamp, edgeStamp) compare against a monotonically increasing
- * per-thread counter instead of being cleared per shot, and the
- * Dijkstra arrays (dist, pathObs, finalized) are restored through
- * `touched` by every user: the exact-matching fast path therefore
- * touches only O(events) scratch state per shot. Only the growth path
- * pays the full per-shot reset of the cluster arenas.
+ * Stamps (stamp, EdgeState::claimStamp) compare against a
+ * monotonically increasing per-thread counter instead of being cleared
+ * per shot, and the peel's `visited` marks are cleared by the peel
+ * itself: the exact-matching fast path therefore touches only
+ * O(events) scratch state per shot. Only the growth path pays the full
+ * per-shot reset of the cluster arenas.
  */
 struct Scratch
 {
@@ -46,13 +43,14 @@ struct Scratch
     // instead of five (support/grown/stamp/mult/capacity lived in
     // separate arrays before; the claim loop was ~5x slower for it).
     // `claimStamp` doubles as a lazy per-shot reset: any stamp older
-    // than the shot's base stamp means support/grown are stale and
-    // read as zero, so no O(numEdges) clear runs per shot.
+    // than the shot's base stamp means support/grown/capacity are
+    // stale and are reloaded, so no O(numEdges) clear runs per shot
+    // and the record never outlives its decoder.
     struct EdgeState
     {
         uint64_t claimStamp = 0;
         uint16_t support = 0;
-        uint16_t capacity = 0; // copied per decoder epoch
+        uint16_t capacity = 0; // the decoder's, reloaded per shot
         uint8_t mult = 0;
         uint8_t grown = 0;
         uint8_t pad[2] = {0, 0};
@@ -68,18 +66,12 @@ struct Scratch
     std::vector<uint8_t> erasedEdge;
     std::vector<std::pair<uint32_t, uint32_t>> erasedBoundary;
 
-    // Peeling state. Dijkstra arrays are cleared through `touched` so
-    // each search pays only for what it explored; the pair cache holds
-    // global defect-pair distances, which are shot-independent, so it
-    // persists across shots (keyed to the owning decoder's epoch).
+    // Peeling state.
     std::vector<std::vector<uint32_t>> clusterDefects; // by root
     std::vector<std::vector<uint32_t>> clusterEdges;   // by root
     std::vector<uint32_t> roots;
-    std::vector<uint32_t> touched;
-    std::vector<double> dist;
-    std::vector<uint32_t> pathObs;
-    std::vector<uint8_t> finalized;
     // Large-cluster forest peel.
+    std::vector<uint8_t> visited; // BFS marks, cleared after each peel
     std::vector<std::vector<uint32_t>> treeAdj; // by vertex
     std::vector<uint32_t> bfsVerts;
     std::vector<uint32_t> order;
@@ -90,29 +82,10 @@ struct Scratch
     std::vector<double> bndW;
     std::vector<uint32_t> bndObs;
     std::vector<double> defLB;
-    std::priority_queue<std::pair<double, uint32_t>,
-                        std::vector<std::pair<double, uint32_t>>,
-                        std::greater<std::pair<double, uint32_t>>>
-        pq;
     uint64_t counter = 0; // stamp source; never reset
-    uint64_t cacheEpoch = 0;
-    std::unordered_map<uint64_t, std::pair<double, uint32_t>> pairCache;
-    // For small graphs the pair cache is a flat lazy matrix instead:
-    // O(1) array reads beat hash lookups ~10x, and the gather phase of
-    // the exact matcher is lookup-bound once the cache is warm.
-    uint32_t flatN = 0; // matrix side, 0 = use the hash map
-    std::vector<uint8_t> pairKnownFlat;
-    std::vector<double> pairDistFlat;
-    std::vector<uint32_t> pairObsFlat;
-    // Sources whose full distance row is already cached: the first
-    // cache miss from a defect vertex runs one full single-source
-    // Dijkstra and stores every reachable pair, so a warm steady state
-    // does no priority-queue work at all.
-    std::vector<uint8_t> srcDone;
 
     /** Size arrays for a graph; clears nothing (fast-path entry). */
-    void ensure(uint32_t numNodes, uint32_t numEdges, uint64_t epoch,
-                const std::vector<uint16_t>& capacity)
+    void ensure(uint32_t numNodes, uint32_t numEdges)
     {
         if (parent.size() < numNodes) {
             size_t old = parent.size();
@@ -129,74 +102,18 @@ struct Scratch
             clusterEdges.resize(numNodes);
             treeAdj.resize(numNodes);
             parentEdge.resize(numNodes);
-            dist.resize(numNodes,
-                        std::numeric_limits<double>::infinity());
-            pathObs.resize(numNodes, 0);
-            finalized.resize(numNodes, 0);
+            visited.resize(numNodes, 0);
         }
         if (edge.size() < numEdges) {
             edge.resize(numEdges);
             erasedEdge.resize(numEdges, 0);
         }
-        if (cacheEpoch != epoch) {
-            cacheEpoch = epoch;
-            // The capacity copy rides in the consolidated edge record;
-            // refresh it whenever the owning decoder changes.
-            for (uint32_t e = 0; e < numEdges; ++e)
-                edge[e].capacity = capacity[e];
-            pairCache.clear();
-            // Covers d=11 surface-code DEMs (721 nodes, ~6.8 MB of
-            // flat matrix per thread); beyond that the quadratic
-            // footprint stops paying for itself and the hash map wins.
-            constexpr uint32_t kFlatCacheMaxNodes = 1024;
-            flatN = numNodes <= kFlatCacheMaxNodes ? numNodes : 0;
-            size_t cells = static_cast<size_t>(flatN) * flatN;
-            pairKnownFlat.assign(cells, 0);
-            pairDistFlat.resize(cells);
-            pairObsFlat.resize(cells);
-            srcDone.assign(numNodes, 0);
-        }
-    }
-
-    bool cacheFind(uint32_t u, uint32_t v, double& w, uint32_t& o)
-    {
-        if (flatN) {
-            size_t idx = static_cast<size_t>(u) * flatN + v;
-            if (!pairKnownFlat[idx])
-                return false;
-            w = pairDistFlat[idx];
-            o = pairObsFlat[idx];
-            return true;
-        }
-        uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32)
-            | std::max(u, v);
-        auto it = pairCache.find(key);
-        if (it == pairCache.end())
-            return false;
-        w = it->second.first;
-        o = it->second.second;
-        return true;
-    }
-
-    void cacheStore(uint32_t u, uint32_t v, double w, uint32_t o)
-    {
-        if (flatN) {
-            size_t a = static_cast<size_t>(u) * flatN + v;
-            size_t b = static_cast<size_t>(v) * flatN + u;
-            pairKnownFlat[a] = pairKnownFlat[b] = 1;
-            pairDistFlat[a] = pairDistFlat[b] = w;
-            pairObsFlat[a] = pairObsFlat[b] = o;
-            return;
-        }
-        uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32)
-            | std::max(u, v);
-        pairCache.emplace(key, std::make_pair(w, o));
     }
 
     /** Per-shot reset of the node-side cluster arenas (growth-path
-     *  entry). The stamp, Dijkstra, and edge-growth arrays are
-     *  deliberately left alone -- they are maintained by the
-     *  monotonic-counter / touched-list / claimStamp protocols. */
+     *  entry). The stamp and edge-growth arrays are deliberately left
+     *  alone -- they are maintained by the monotonic-counter and
+     *  claimStamp protocols. */
     void reset(uint32_t numNodes)
     {
         for (uint32_t i = 0; i < numNodes; ++i)
@@ -215,7 +132,6 @@ struct Scratch
         roots.clear();
         bfsVerts.clear();
         order.clear();
-        touched.clear();
     }
 
     uint32_t find(uint32_t x)
@@ -249,7 +165,8 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel& dem,
     // weight. Outcomes with empty signatures (the I branch, or Paulis
     // the detectors cannot see) have no edge to seed and are skipped.
     erasureSiteEdges_.resize(dem.numErasureSites());
-    const uint32_t boundary = graph_.boundaryNode();
+    const DecodingGraph& graph = paths_.graph();
+    const uint32_t boundary = graph.boundaryNode();
     for (const auto& ch : dem.channels()) {
         if (ch.erasureSite < 0)
             continue;
@@ -259,9 +176,9 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel& dem,
             std::span<const uint32_t> dets = dem.detectors(o);
             int32_t e = -1;
             if (dets.size() == 1)
-                e = graph_.findEdge(dets[0], boundary);
+                e = graph.findEdge(dets[0], boundary);
             else if (dets.size() == 2)
-                e = graph_.findEdge(dets[0], dets[1]);
+                e = graph.findEdge(dets[0], dets[1]);
             if (e < 0)
                 continue;
             uint32_t eu = static_cast<uint32_t>(e);
@@ -273,55 +190,19 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel& dem,
 
 UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
                                    UnionFindOptions options)
-    : graph_(std::move(graph)),
+    : paths_(std::move(graph)),
       exactSyndromeThreshold_(
           std::min<uint32_t>(options.exactSyndromeThreshold, 16))
 {
-    static std::atomic<uint64_t> nextEpoch{1};
-    cacheEpoch_ = nextEpoch.fetch_add(1, std::memory_order_relaxed);
-    uint32_t granularity = std::max<uint32_t>(options.granularity, 1);
-    const double minW = graph_.minWeight();
-    capacity_.resize(graph_.edges().size());
+    const std::vector<DecodingEdge>& edges = paths_.graph().edges();
+    const double minW = paths_.graph().minWeight();
+    capacity_.resize(edges.size());
     for (size_t i = 0; i < capacity_.size(); ++i) {
         double ticks = minW > 0.0
-            ? graph_.edges()[i].weight / minW
-                * static_cast<double>(granularity)
-            : static_cast<double>(granularity);
+            ? edges[i].weight / minW * static_cast<double>(kGranularity)
+            : static_cast<double>(kGranularity);
         capacity_[i] = static_cast<uint16_t>(
             std::clamp<long long>(std::llround(ticks), 1, 60000));
-    }
-
-    // One Dijkstra from the boundary gives every detector's global
-    // shortest boundary path (weight and observables) -- the matching's
-    // defect-to-boundary option, for free at decode time.
-    const uint32_t n = graph_.numNodes();
-    boundaryDist_.assign(n, std::numeric_limits<double>::infinity());
-    boundaryObs_.assign(n, 0);
-    boundaryDist_[graph_.boundaryNode()] = 0.0;
-    using QItem = std::pair<double, uint32_t>;
-    std::priority_queue<QItem, std::vector<QItem>, std::greater<QItem>>
-        pq;
-    pq.push({0.0, graph_.boundaryNode()});
-    std::vector<uint8_t> done(n, 0);
-    const DecodingGraph::SoA& soa = graph_.soa();
-    while (!pq.empty()) {
-        auto [d, v] = pq.top();
-        pq.pop();
-        if (done[v])
-            continue;
-        done[v] = 1;
-        for (uint32_t si = soa.vertexBegin[v];
-             si < soa.vertexBegin[v + 1]; ++si) {
-            uint32_t e = soa.slotEdge[si];
-            uint32_t to = soa.slotOther[si];
-            double nd = d + soa.edgeWeight[e];
-            if (nd < boundaryDist_[to]) {
-                boundaryDist_[to] = nd;
-                boundaryObs_[to] =
-                    boundaryObs_[v] ^ soa.edgeObs[e];
-                pq.push({nd, to});
-            }
-        }
     }
 }
 
@@ -448,17 +329,7 @@ UnionFindDecoder::decodeBatch(const ShotBatch& batch,
     }
     if (tracing)
         traceDecodeMix();
-    if (obs::metricsEnabled()) {
-        static const obs::Counter batches =
-            obs::Counter::get("decode.batches");
-        static const obs::Counter decoded =
-            obs::Counter::get("decode.shots");
-        static const obs::Counter trivialShots =
-            obs::Counter::get("decode.trivial_shots");
-        batches.add(1);
-        decoded.add(batch.numShots());
-        trivialShots.add(trivial);
-    }
+    countBatchShots(batch.numShots(), trivial);
 }
 
 uint32_t
@@ -474,19 +345,19 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         return 0;
     const bool hasErasures = !erasedEdges.empty();
 
-    const uint32_t n = graph_.numNodes();
-    const uint32_t numEdges = static_cast<uint32_t>(graph_.edges().size());
-    const uint32_t boundary = graph_.boundaryNode();
-    const DecodingGraph::SoA& g = graph_.soa();
+    const DecodingGraph& graph = paths_.graph();
+    const uint32_t n = graph.numNodes();
+    const uint32_t numEdges = static_cast<uint32_t>(graph.edges().size());
+    const uint32_t boundary = graph.boundaryNode();
+    const DecodingGraph::SoA& g = graph.soa();
 
     Scratch& s = scratch();
-    s.ensure(n, numEdges, cacheEpoch_, capacity_);
+    s.ensure(n, numEdges);
 
     constexpr double kInf = std::numeric_limits<double>::infinity();
     uint32_t obs = 0;
     uint32_t matchedPairs = 0;
     uint32_t boundaryMatches = 0;
-    auto& pq = s.pq;
     auto& pairW = s.pairW;
     auto& pairObs = s.pairObs;
     auto& bndW = s.bndW;
@@ -495,125 +366,54 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
 
     /**
      * Exact minimum-weight matching of one defect set (boundary
-     * optional) over global shortest-path distances. Used for whole
-     * small syndromes (fast path) and for small grown clusters.
-     *
-     * Defect-pair shortest paths are globally exact and memoized
-     * across shots (a global distance does not depend on the shot).
-     * The first cache miss from a source defect runs one full
-     * single-source Dijkstra and stores the entire row, so after the
-     * first few batches every query is a pure cache lookup and the
-     * steady-state decode does no priority-queue work. Paths never
-     * route through the boundary node -- boundary pairing is a
-     * separate option, exactly as in the blossom formulation.
+     * optional) over global shortest-path distances from the oracle.
+     * Used for whole small syndromes (fast path) and for small grown
+     * clusters. Pair paths never route through the boundary node --
+     * boundary pairing is a separate option, exactly as in the
+     * blossom formulation.
      */
     auto matchDefectsExact = [&](const std::vector<uint32_t>& defects) {
         const size_t k = defects.size();
-        // Lone defect: the precomputed boundary chain is the matching.
+        // Lone defect: its boundary path is the matching.
         if (k == 1) {
-            if (std::isfinite(boundaryDist_[defects[0]])) {
-                obs ^= boundaryObs_[defects[0]];
+            const ShortestPath b = paths_.boundary(defects[0]);
+            if (std::isfinite(b.weight)) {
+                obs ^= b.observables;
                 ++boundaryMatches;
             }
             return;
         }
-        // Defect pair with a warm cache: one compare, no arrays. Ties
-        // prefer the boundary, matching the branch-and-bound's order.
+        // Defect pair: one compare, no arrays. Ties prefer the
+        // boundary, matching the branch-and-bound's order.
         if (k == 2) {
-            double w;
-            uint32_t o;
-            if (s.cacheFind(defects[0], defects[1], w, o)) {
-                double b = boundaryDist_[defects[0]]
-                    + boundaryDist_[defects[1]];
-                if (w < b) {
-                    obs ^= o;
-                    ++matchedPairs;
-                } else if (std::isfinite(b)) {
-                    obs ^= boundaryObs_[defects[0]]
-                        ^ boundaryObs_[defects[1]];
-                    boundaryMatches += 2;
-                } else if (std::isfinite(w)) {
-                    obs ^= o;
-                    ++matchedPairs;
-                }
-                return;
+            const ShortestPath p = paths_.pair(defects[0], defects[1]);
+            const ShortestPath b0 = paths_.boundary(defects[0]);
+            const ShortestPath b1 = paths_.boundary(defects[1]);
+            const double b = b0.weight + b1.weight;
+            if (p.weight < b) {
+                obs ^= p.observables;
+                ++matchedPairs;
+            } else if (std::isfinite(b)) {
+                obs ^= b0.observables ^ b1.observables;
+                boundaryMatches += 2;
+            } else if (std::isfinite(p.weight)) {
+                obs ^= p.observables;
+                ++matchedPairs;
             }
+            return;
         }
         pairW.assign(k * k, kInf);
         pairObs.assign(k * k, 0);
         bndW.resize(k);
         bndObs.resize(k);
         for (size_t i = 0; i < k; ++i) {
-            bndW[i] = boundaryDist_[defects[i]];
-            bndObs[i] = boundaryObs_[defects[i]];
-        }
-
-        for (size_t i = 0; i + 1 < k; ++i) {
-            uint32_t src = defects[i];
-            bool missing = false;
+            const ShortestPath b = paths_.boundary(defects[i]);
+            bndW[i] = b.weight;
+            bndObs[i] = b.observables;
             for (size_t j = i + 1; j < k; ++j) {
-                double w;
-                uint32_t o;
-                if (s.cacheFind(src, defects[j], w, o)) {
-                    pairW[i * k + j] = pairW[j * k + i] = w;
-                    pairObs[i * k + j] = pairObs[j * k + i] = o;
-                } else {
-                    missing = true;
-                }
-            }
-            if (!missing || s.srcDone[src])
-                continue; // leftover misses are unreachable pairs
-            // One full single-source Dijkstra (boundary excluded, as
-            // always for pair paths) fills src's whole row of the pair
-            // cache, so every later query against src -- from any
-            // shot -- is a pure lookup. Distances are unique and the
-            // observable mask of a shortest path is path-choice
-            // independent for bulk paths (a bulk cycle flips no
-            // logical), so filling the row eagerly is bit-identical
-            // to the old on-demand pruned searches.
-            s.srcDone[src] = 1;
-            s.dist[src] = 0.0;
-            s.touched.push_back(src);
-            pq.push({0.0, src});
-            while (!pq.empty()) {
-                auto [d, x] = pq.top();
-                pq.pop();
-                if (s.finalized[x])
-                    continue;
-                s.finalized[x] = 1;
-                if (x != src)
-                    s.cacheStore(src, x, d, s.pathObs[x]);
-                for (uint32_t si = g.vertexBegin[x];
-                     si < g.vertexBegin[x + 1]; ++si) {
-                    uint32_t to = g.slotOther[si];
-                    if (to == boundary)
-                        continue;
-                    uint32_t e = g.slotEdge[si];
-                    double nd = d + g.edgeWeight[e];
-                    if (nd < s.dist[to]) {
-                        if (s.dist[to] == kInf)
-                            s.touched.push_back(to);
-                        s.dist[to] = nd;
-                        s.pathObs[to] = s.pathObs[x] ^ g.edgeObs[e];
-                        pq.push({nd, to});
-                    }
-                }
-            }
-            for (uint32_t x : s.touched) {
-                s.dist[x] = kInf;
-                s.pathObs[x] = 0;
-                s.finalized[x] = 0;
-            }
-            s.touched.clear();
-            for (size_t j = i + 1; j < k; ++j) {
-                if (pairW[i * k + j] != kInf)
-                    continue;
-                double w;
-                uint32_t o;
-                if (s.cacheFind(src, defects[j], w, o)) {
-                    pairW[i * k + j] = pairW[j * k + i] = w;
-                    pairObs[i * k + j] = pairObs[j * k + i] = o;
-                }
+                const ShortestPath p = paths_.pair(defects[i], defects[j]);
+                pairW[i * k + j] = pairW[j * k + i] = p.weight;
+                pairObs[i * k + j] = pairObs[j * k + i] = p.observables;
             }
         }
 
@@ -765,6 +565,7 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         if (es.claimStamp < shotBase) {
             es.claimStamp = shotBase;
             es.support = 0;
+            es.capacity = capacity_[e];
             es.grown = 0;
         }
         return es;
@@ -991,13 +792,13 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         uint32_t root = hasExit ? exitVertex : defects[0];
         s.order.clear();
         s.order.push_back(root);
-        s.finalized[root] = 1;
+        s.visited[root] = 1;
         for (size_t qi = 0; qi < s.order.size(); ++qi) {
             uint32_t v = s.order[qi];
             for (uint32_t e : s.treeAdj[v]) {
                 uint32_t to = g.edgeA[e] == v ? g.edgeB[e] : g.edgeA[e];
-                if (!s.finalized[to]) {
-                    s.finalized[to] = 1;
+                if (!s.visited[to]) {
+                    s.visited[to] = 1;
                     s.parentEdge[to] = e;
                     s.order.push_back(to);
                 }
@@ -1019,13 +820,14 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             if (hasExit) {
                 obs ^= exitObs;
                 ++boundaryMatches;
-            } else if (std::isfinite(boundaryDist_[root])) {
-                obs ^= boundaryObs_[root];
+            } else if (const ShortestPath b = paths_.boundary(root);
+                       std::isfinite(b.weight)) {
+                obs ^= b.observables;
                 ++boundaryMatches;
             }
         }
         for (uint32_t v : s.order)
-            s.finalized[v] = 0;
+            s.visited[v] = 0;
         for (uint32_t v : s.bfsVerts)
             s.treeAdj[v].clear();
         s.bfsVerts.clear();

@@ -6,6 +6,7 @@
 
 #include "decoder/decoder.h"
 #include "decoder/decoding_graph.h"
+#include "decoder/shortest_paths.h"
 #include "dem/detector_model.h"
 
 namespace vlq {
@@ -13,13 +14,6 @@ namespace vlq {
 /** Tuning knobs of the union-find decoder. */
 struct UnionFindOptions
 {
-    /**
-     * Ticks assigned to the minimum-weight edge; larger values track
-     * relative edge weights more faithfully at the cost of more
-     * (cheap) growth rounds.
-     */
-    uint32_t granularity = 32;
-
     /**
      * Syndromes with at most this many detection events skip cluster
      * growth entirely and get one exact minimum-weight matching of
@@ -36,7 +30,8 @@ struct UnionFindOptions
 /**
  * Weighted union-find decoder (Delfosse & Nickerson style).
  *
- * Edge weights are quantized into integer growth ticks. Every defect
+ * Edge weights are quantized into integer growth ticks (kGranularity
+ * ticks for the minimum-weight edge). Every defect
  * (detection event) starts as its own cluster; growth is event-driven:
  * each round, every *active* cluster -- odd defect parity and no
  * boundary contact -- claims its frontier edges (an edge claimed from
@@ -54,17 +49,16 @@ struct UnionFindOptions
  * Each finished cluster is then peeled independently. Small clusters
  * -- the bulk of the work below threshold -- get an exact
  * minimum-weight matching of their defects over global shortest-path
- * distances: the defect-to-boundary option comes from a table built by
- * one Dijkstra at construction, and defect-pair distances from lazy
- * target-directed Dijkstras memoized across shots (global distances do
- * not depend on the shot, so the cache preserves reproducibility; a
- * pair costing more than its two boundary chains combined is provably
- * never matched, which bounds each search). Large clusters fall back
- * to the classic linear peel of a spanning forest of their grown
- * edges. The XOR of observable masks along the chosen paths is the
- * correction. No all-pairs tables and no global blossom search: the
- * fast backend for large-distance Monte-Carlo scans, agreeing with
- * MWPM on small syndromes up to genuine weight degeneracy.
+ * distances, read from the decoder's ShortestPaths oracle: the
+ * defect-to-boundary option from its boundary table, defect pairs from
+ * its bulk rows, each filled once on first use and then shared by
+ * every thread (global distances do not depend on the shot, so the
+ * shared rows preserve reproducibility). Large clusters fall back to
+ * the classic linear peel of a spanning forest of their grown edges.
+ * The XOR of observable masks along the chosen paths is the
+ * correction. No global blossom search: the fast backend for
+ * large-distance Monte-Carlo scans, agreeing with MWPM on small
+ * syndromes up to genuine weight degeneracy.
  *
  * Syndromes below UnionFindOptions::exactSyndromeThreshold events
  * short-circuit growth altogether (see the option's doc): the scratch
@@ -75,6 +69,13 @@ struct UnionFindOptions
 class UnionFindDecoder : public Decoder
 {
   public:
+    /**
+     * Growth ticks assigned to the minimum-weight edge; larger values
+     * track relative edge weights more faithfully at the cost of more
+     * (cheap) growth rounds.
+     */
+    static constexpr uint32_t kGranularity = 32;
+
     /** Diagnostics of one decode call (tests and tuning). */
     struct DecodeInfo
     {
@@ -95,9 +96,8 @@ class UnionFindDecoder : public Decoder
 
     /**
      * Batched decode: per-shot event lists are gathered with one
-     * sparse sweep over the transposed batch, and the cluster arenas
-     * and the memoized pair-distance cache stay hot across the whole
-     * batch (they are thread-local, so cross-shot reuse is free).
+     * sparse sweep over the transposed batch, and the thread-local
+     * cluster arenas stay hot across the whole batch.
      * When the batch carries heralded-erasure rows, each shot's
      * erased edges are seeded at zero weight (see decodeWithErasures).
      */
@@ -135,7 +135,7 @@ class UnionFindDecoder : public Decoder
         return erasureSiteEdges_;
     }
 
-    const DecodingGraph& graph() const { return graph_; }
+    const DecodingGraph& graph() const { return paths_.graph(); }
 
     /** Growth ticks of edge e (the quantized weight). */
     uint32_t edgeCapacity(uint32_t e) const { return capacity_[e]; }
@@ -154,18 +154,11 @@ class UnionFindDecoder : public Decoder
     void mapErasureSites(const std::vector<uint32_t>& sites,
                          std::vector<uint32_t>& edges) const;
 
-    DecodingGraph graph_;
+    ShortestPaths paths_;
     /** Edge indices seeded by each heralded-erasure site. */
     std::vector<std::vector<uint32_t>> erasureSiteEdges_;
     uint32_t exactSyndromeThreshold_ = 0;
     std::vector<uint16_t> capacity_;
-    // Global shortest path to the boundary per detector (one Dijkstra
-    // at construction) -- the boundary option of the cluster matching.
-    std::vector<double> boundaryDist_;
-    std::vector<uint32_t> boundaryObs_;
-    // Distinguishes this instance in the per-thread pair-distance
-    // cache (distances are per-graph, the cache per thread).
-    uint64_t cacheEpoch_ = 0;
 };
 
 } // namespace vlq

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/generator_common.h"
 #include "decoder/blossom.h"
 #include "decoder/decoding_graph.h"
-#include "decoder/matching_graph.h"
 #include "decoder/mwpm_decoder.h"
+#include "decoder/shortest_paths.h"
+#include "decoder/union_find.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
 #include "mc/memory_experiment.h"
@@ -39,12 +43,12 @@ TEST(MatchingGraphTest, BuildsFromBaseline)
                                     ExtractionSchedule::AllAtOnce);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    MatchingGraph g = MatchingGraph::build(dem);
-    EXPECT_EQ(g.numNodes(), dem.numDetectors());
-    EXPECT_GT(g.numEdges(), 0u);
+    ShortestPaths g(DecodingGraph::build(dem));
+    EXPECT_EQ(g.numDetectors(), dem.numDetectors());
+    EXPECT_GT(g.graph().edges().size(), 0u);
     // Every detector should reach the boundary.
-    for (uint32_t i = 0; i < g.numNodes(); ++i)
-        EXPECT_TRUE(std::isfinite(g.boundaryDistance(i))) << i;
+    for (uint32_t i = 0; i < g.numDetectors(); ++i)
+        EXPECT_TRUE(std::isfinite(matchingBoundary(g, i).weight)) << i;
 }
 
 TEST(MatchingGraphTest, DistanceIsMetricLike)
@@ -53,12 +57,16 @@ TEST(MatchingGraphTest, DistanceIsMetricLike)
                                     ExtractionSchedule::AllAtOnce);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    MatchingGraph g = MatchingGraph::build(dem);
-    for (uint32_t a = 0; a < g.numNodes(); ++a) {
-        EXPECT_EQ(g.distance(a, a), 0.0f);
-        for (uint32_t b = a + 1; b < std::min(g.numNodes(), a + 5); ++b) {
-            EXPECT_FLOAT_EQ(g.distance(a, b), g.distance(b, a));
-            EXPECT_GT(g.distance(a, b), 0.0);
+    ShortestPaths g(DecodingGraph::build(dem));
+    auto distance = [&](uint32_t a, uint32_t b) {
+        return matchingPair(g, a, b).weight;
+    };
+    for (uint32_t a = 0; a < g.numDetectors(); ++a) {
+        EXPECT_EQ(distance(a, a), 0.0f);
+        for (uint32_t b = a + 1; b < std::min(g.numDetectors(), a + 5);
+             ++b) {
+            EXPECT_FLOAT_EQ(distance(a, b), distance(b, a));
+            EXPECT_GT(distance(a, b), 0.0);
         }
     }
 }
@@ -243,10 +251,10 @@ TEST(MatchingGraphTest, CompactGraphAlsoGraphlike)
                                     ExtractionSchedule::Interleaved);
     GeneratedCircuit gen = generateCompactMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    MatchingGraph g = MatchingGraph::build(dem);
-    EXPECT_EQ(g.stats().forcedPairings, 0u);
-    for (uint32_t i = 0; i < g.numNodes(); ++i)
-        EXPECT_TRUE(std::isfinite(g.boundaryDistance(i)));
+    ShortestPaths g(DecodingGraph::build(dem));
+    EXPECT_EQ(g.graph().stats().forcedPairings, 0u);
+    for (uint32_t i = 0; i < g.numDetectors(); ++i)
+        EXPECT_TRUE(std::isfinite(matchingBoundary(g, i).weight));
 }
 
 TEST(MatchingGraphTest, FewForcedPairings)
@@ -259,7 +267,7 @@ TEST(MatchingGraphTest, FewForcedPairings)
         GeneratedCircuit gen = generateMemoryCircuit(
             static_cast<EmbeddingKind>(embInt), cfg);
         DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-        MatchingGraph g = MatchingGraph::build(dem);
+        DecodingGraph g = DecodingGraph::build(dem);
         EXPECT_EQ(g.stats().forcedPairings, 0u)
             << "embedding " << embInt;
     }
@@ -322,28 +330,192 @@ TEST(MatchingGraphTest, CorrelatedOutcomeDecomposesIntoLaterKnownPairs)
                 1e-15);
 }
 
-TEST(MatchingGraphTest, RejectsObservableBitsAboveSeven)
-{
-    // Path observables are one byte per node pair: an edge flipping
-    // observable 8 must fail loudly instead of decoding without it.
-    DecodingGraph g(2);
-    g.addContribution(0, 1, 0.01, 1u << 8);
-    g.addContribution(0, g.boundaryNode(), 0.01, 0);
-    g.addContribution(1, g.boundaryNode(), 0.01, 0);
-    g.finalize();
-    EXPECT_DEATH(MatchingGraph::build(g), "observables 0-7");
-}
-
 TEST(MatchingGraphTest, KeepsObservableBitSeven)
 {
     DecodingGraph g(2);
     g.addContribution(0, 1, 0.01, 1u << 7);
     g.addContribution(1, g.boundaryNode(), 0.02, 1u << 7);
     g.finalize();
-    MatchingGraph m = MatchingGraph::build(g);
-    EXPECT_EQ(m.pathObservables(0, 1), 1u << 7);
-    EXPECT_EQ(m.boundaryObservables(0), 0u);
-    EXPECT_EQ(m.boundaryObservables(1), 1u << 7);
+    ShortestPaths m(std::move(g));
+    EXPECT_EQ(matchingPair(m, 0, 1).observables, 1u << 7);
+    EXPECT_EQ(matchingBoundary(m, 0).observables, 0u);
+    EXPECT_EQ(matchingBoundary(m, 1).observables, 1u << 7);
+}
+
+TEST(MatchingGraphTest, KeepsObservableBitsAboveSeven)
+{
+    // Detectors D0 = m0 and D1 = m0 ^ m1; observable 8 reads m0 and
+    // observable 31 reads m1. An X on q0 is the edge D0-D1 flipping
+    // observable 8, an X on q1 the edge D1-boundary flipping 31.
+    Circuit c(2);
+    c.xError(0, 0.01);
+    c.xError(1, 0.02);
+    uint32_t m0 = c.measureZ(0);
+    uint32_t m1 = c.measureZ(1);
+    for (const std::vector<uint32_t>& ms :
+         {std::vector<uint32_t>{m0}, std::vector<uint32_t>{m0, m1}}) {
+        Detector d;
+        d.measurements = ms;
+        c.addDetector(d);
+    }
+    for (uint32_t o = 0; o < 32; ++o)
+        c.addObservable();
+    c.observableInclude(8, m0);
+    c.observableInclude(31, m1);
+    DetectorErrorModel dem = DetectorErrorModel::build(c);
+    ASSERT_EQ(dem.numObservables(), 32u);
+
+    const MwpmDecoder mwpm(dem);
+    const GreedyDecoder greedy(dem);
+    const UnionFindDecoder uf(dem);
+    for (const Decoder* decoder :
+         {static_cast<const Decoder*>(&mwpm),
+          static_cast<const Decoder*>(&greedy),
+          static_cast<const Decoder*>(&uf)}) {
+        BitVec det(2);
+        det.set(0, true);
+        det.set(1, true);
+        EXPECT_EQ(decoder->decode(det), 1u << 8);
+        det.set(1, false);
+        EXPECT_EQ(decoder->decode(det), (1u << 8) | (1u << 31));
+        det.set(0, false);
+        det.set(1, true);
+        EXPECT_EQ(decoder->decode(det), 1u << 31);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The shared shortest-path oracle
+// ---------------------------------------------------------------------------
+
+DecodingGraph
+paperSetupGraph(int setup, int d)
+{
+    EvaluationSetup es = paperSetups()[static_cast<size_t>(setup)];
+    GeneratedCircuit gen = generateMemoryCircuit(
+        es.embedding, configFor(d, 4e-3, es.schedule));
+    return DecodingGraph::build(DetectorErrorModel::build(gen.circuit));
+}
+
+/** Every pair of `paths`, read as (u, v) with u < v, row-major. */
+std::vector<ShortestPath>
+allPairs(const ShortestPaths& paths)
+{
+    const size_t n = paths.numDetectors();
+    std::vector<ShortestPath> out;
+    out.reserve(n * (n - 1) / 2);
+    for (uint32_t u = 0; u < paths.numDetectors(); ++u)
+        for (uint32_t v = u + 1; v < paths.numDetectors(); ++v)
+            out.push_back(paths.pair(u, v));
+    return out;
+}
+
+TEST(ShortestPathsTest, PairsAreSymmetricAndIndependentOfFillOrder)
+{
+    for (int setup : {0, 4}) {
+        const DecodingGraph graph = paperSetupGraph(setup, 5);
+        const uint32_t n = graph.numDetectors();
+
+        // Forward: row u filled by the first query from u.
+        ShortestPaths forward(graph);
+        const std::vector<ShortestPath> expected = allPairs(forward);
+
+        // Reverse: every query names the larger detector first, and
+        // the last rows fill first.
+        ShortestPaths reverse(graph);
+        for (uint32_t v = n; v-- > 0;)
+            for (uint32_t u = v; u-- > 0;)
+                reverse.pair(v, u);
+
+        // Another thread fills every other row, from the far end.
+        ShortestPaths threaded(graph);
+        std::thread filler([&] {
+            for (uint32_t u = n; u-- > 0;)
+                if (u % 2 == 1 && u + 1 < n)
+                    threaded.pair(n - 1, u);
+        });
+        filler.join();
+
+        size_t at = 0;
+        for (uint32_t u = 0; u < n; ++u) {
+            for (uint32_t v = u + 1; v < n; ++v, ++at) {
+                for (const ShortestPaths* other : {&reverse, &threaded}) {
+                    const ShortestPath uv = other->pair(u, v);
+                    const ShortestPath vu = other->pair(v, u);
+                    EXPECT_EQ(std::bit_cast<uint64_t>(uv.weight),
+                              std::bit_cast<uint64_t>(vu.weight));
+                    EXPECT_EQ(std::bit_cast<uint64_t>(uv.weight),
+                              std::bit_cast<uint64_t>(expected[at].weight))
+                        << "setup " << setup << " (" << u << "," << v
+                        << ")";
+                    EXPECT_EQ(uv.observables, vu.observables);
+                    EXPECT_EQ(uv.observables, expected[at].observables);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Independent distances: Floyd-Warshall over the detectors alone for
+ * the bulk pairs (the oracle's pair paths never enter the boundary),
+ * and over all nodes for the boundary column.
+ */
+TEST(ShortestPathsTest, MatchesFloydWarshall)
+{
+    for (int d : {3, 5}) {
+        const DecodingGraph graph = paperSetupGraph(0, d);
+        const ShortestPaths paths(graph);
+        const uint32_t n = graph.numNodes();
+        const uint32_t boundary = graph.boundaryNode();
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+
+        auto floydWarshall = [&](uint32_t nodes,
+                                 std::vector<double>& dist,
+                                 std::vector<uint32_t>& obs) {
+            dist.assign(static_cast<size_t>(nodes) * nodes, kInf);
+            obs.assign(static_cast<size_t>(nodes) * nodes, 0);
+            for (uint32_t i = 0; i < nodes; ++i)
+                dist[i * nodes + i] = 0.0;
+            for (const DecodingEdge& e : graph.edges()) {
+                if (e.b >= nodes)
+                    continue;
+                for (auto [x, y] : {std::pair(e.a, e.b),
+                                    std::pair(e.b, e.a)}) {
+                    dist[x * nodes + y] = e.weight;
+                    obs[x * nodes + y] = e.observables;
+                }
+            }
+            for (uint32_t k = 0; k < nodes; ++k)
+                for (uint32_t i = 0; i < nodes; ++i)
+                    for (uint32_t j = 0; j < nodes; ++j) {
+                        double via = dist[i * nodes + k]
+                            + dist[k * nodes + j];
+                        if (via < dist[i * nodes + j]) {
+                            dist[i * nodes + j] = via;
+                            obs[i * nodes + j] = obs[i * nodes + k]
+                                ^ obs[k * nodes + j];
+                        }
+                    }
+        };
+        std::vector<double> bulk, full;
+        std::vector<uint32_t> bulkObs, fullObs;
+        floydWarshall(boundary, bulk, bulkObs);
+        floydWarshall(n, full, fullObs);
+
+        for (uint32_t u = 0; u < boundary; ++u) {
+            const ShortestPath b = paths.boundary(u);
+            EXPECT_NEAR(b.weight, full[u * n + boundary], 1e-9) << u;
+            EXPECT_EQ(b.observables, fullObs[u * n + boundary]) << u;
+            for (uint32_t v = 0; v < boundary; ++v) {
+                const ShortestPath p = paths.pair(u, v);
+                EXPECT_NEAR(p.weight, bulk[u * boundary + v], 1e-9)
+                    << "d " << d << " (" << u << "," << v << ")";
+                EXPECT_EQ(p.observables, bulkObs[u * boundary + v])
+                    << "d " << d << " (" << u << "," << v << ")";
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +534,7 @@ struct ReferenceMatch
  * boundary copy, copies joined pairwise at zero weight.
  */
 ReferenceMatch
-referenceMatch(const MatchingGraph& g, const std::vector<uint32_t>& events)
+referenceMatch(const ShortestPaths& g, const std::vector<uint32_t>& events)
 {
     const int m = static_cast<int>(events.size());
     ReferenceMatch r;
@@ -372,11 +544,11 @@ referenceMatch(const MatchingGraph& g, const std::vector<uint32_t>& events)
     std::vector<MatchEdge> edges;
     for (int i = 0; i < m; ++i) {
         for (int j = i + 1; j < m; ++j) {
-            double w = g.distance(ev(i), ev(j));
+            double w = matchingPair(g, ev(i), ev(j)).weight;
             if (std::isfinite(w))
                 edges.push_back(MatchEdge{i, j, w});
         }
-        double wb = g.boundaryDistance(ev(i));
+        double wb = matchingBoundary(g, ev(i)).weight;
         if (std::isfinite(wb))
             edges.push_back(MatchEdge{i, m + i, wb});
         for (int j = i + 1; j < m; ++j)
@@ -386,11 +558,11 @@ referenceMatch(const MatchingGraph& g, const std::vector<uint32_t>& events)
     for (int i = 0; i < m; ++i) {
         int j = mate[static_cast<size_t>(i)];
         if (j == m + i) {
-            r.observables ^= g.boundaryObservables(ev(i));
-            r.weight += g.boundaryDistance(ev(i));
+            r.observables ^= matchingBoundary(g, ev(i)).observables;
+            r.weight += matchingBoundary(g, ev(i)).weight;
         } else if (j > i && j < m) {
-            r.observables ^= g.pathObservables(ev(i), ev(j));
-            r.weight += g.distance(ev(i), ev(j));
+            r.observables ^= matchingPair(g, ev(i), ev(j)).observables;
+            r.weight += matchingPair(g, ev(i), ev(j)).weight;
         }
     }
     return r;
@@ -410,7 +582,7 @@ expectMatchesReference(const MwpmDecoder& decoder,
 {
     double weight = -1.0;
     uint32_t predicted = decoder.matchEvents(events, &weight);
-    ReferenceMatch ref = referenceMatch(decoder.graph(), events);
+    ReferenceMatch ref = referenceMatch(decoder.paths(), events);
     EXPECT_EQ(predicted, ref.observables) << where;
     EXPECT_NEAR(weight, ref.weight,
                 static_cast<double>(events.size()) / (1 << 20))
@@ -570,6 +742,15 @@ TEST(MwpmDecoderTest, OddComponentWithoutBoundaryDies)
     MwpmDecoder decoder(boundarylessChain());
     EXPECT_DEATH(decoder.matchEvents({1}), "no perfect matching");
     EXPECT_DEATH(decoder.matchEvents({0, 1, 2}), "no perfect matching");
+}
+
+TEST(MwpmDecoderTest, RejectsUnsortedEvents)
+{
+    // Pairs are read from row min(u, v) = events[i] of the oracle, so
+    // the event list must ascend.
+    MwpmDecoder decoder(lineModel({1, 5, 1, 5, 1}, 0));
+    EXPECT_DEATH(decoder.matchEvents({2, 0}), "strictly ascending");
+    EXPECT_DEATH(decoder.matchEvents({1, 1}), "strictly ascending");
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include "core/generator_common.h"
 #include "decoder/mwpm_decoder.h"
+#include "decoder/union_find.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
 #include "dem/shot_batch.h"
@@ -26,8 +27,9 @@
  * control-plane requests (submit/cancel/requeue/shutdown) hammered
  * against a service mid-drain, metrics-shard churn from short-lived
  * threads racing snapshotMetrics(), batch commits + checkpoint saves
- * issued from pool worker threads, and MWPM batches decoded through
- * one shared decoder from several threads. CI runs the tier-1 suite --
+ * issued from pool worker threads, and MWPM and union-find batches
+ * decoded through one shared decoder from several threads, also while
+ * its shortest-path rows are still being filled. CI runs the tier-1 suite --
  * including this file -- under -fsanitize=thread (the `tsan` preset);
  * a data race here is a bug, never a
  * suppression (see docs/ARCHITECTURE.md, "Static analysis &
@@ -306,6 +308,47 @@ TEST(TsanStress, ConcurrentMwpmBatchesShareOneDecoder)
         w.join();
     for (int t = 0; t < kThreads; ++t)
         EXPECT_EQ(got[static_cast<size_t>(t)], expected) << "thread " << t;
+}
+
+/**
+ * Cold shortest-path rows: three threads decode the same batch through
+ * one freshly built decoder, so they race to fill the oracle's rows
+ * (each exactly once, under its call_once) while reading the rows
+ * other threads filled. Every thread must reproduce a one-thread run
+ * on a separate decoder.
+ */
+TEST(TsanStress, ConcurrentColdRowFillsMatchOneThread)
+{
+    GeneratorConfig cfg = stressPoint();
+    cfg.distance = 5;
+    GeneratedCircuit gen = generateBaselineMemory(cfg);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    FaultSampler sampler(dem);
+    const uint32_t shots = 256;
+    ShotBatch batch;
+    batch.reset(dem.numDetectors(), dem.numObservables(), shots, 0);
+    sampler.sampleBatchInto(Rng(43), batch);
+
+    auto check = [&](const Decoder& solo, const Decoder& shared,
+                     const char* name) {
+        std::vector<uint32_t> expected(shots);
+        solo.decodeBatch(batch, expected);
+        constexpr int kThreads = 3;
+        std::vector<std::vector<uint32_t>> got(
+            kThreads, std::vector<uint32_t>(shots));
+        std::vector<std::thread> workers;
+        for (int t = 0; t < kThreads; ++t)
+            workers.emplace_back([&, t] {
+                shared.decodeBatch(batch, got[static_cast<size_t>(t)]);
+            });
+        for (std::thread& w : workers)
+            w.join();
+        for (int t = 0; t < kThreads; ++t)
+            EXPECT_EQ(got[static_cast<size_t>(t)], expected)
+                << name << " thread " << t;
+    };
+    check(UnionFindDecoder(dem), UnionFindDecoder(dem), "union-find");
+    check(MwpmDecoder(dem), MwpmDecoder(dem), "mwpm");
 }
 
 } // namespace

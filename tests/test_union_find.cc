@@ -8,8 +8,8 @@
 
 #include "core/generator_common.h"
 #include "decoder/decoder_factory.h"
-#include "decoder/matching_graph.h"
 #include "decoder/mwpm_decoder.h"
+#include "decoder/shortest_paths.h"
 #include "decoder/union_find.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
@@ -56,7 +56,7 @@ syndromeOf(const std::vector<uint32_t>& detectors, uint32_t numDetectors)
  */
 void
 enumeratePairings(const std::vector<uint32_t>& events,
-                  const MatchingGraph& g, std::vector<bool>& used,
+                  const ShortestPaths& g, std::vector<bool>& used,
                   double w, uint32_t obs,
                   std::vector<std::pair<double, uint32_t>>& out)
 {
@@ -68,20 +68,19 @@ enumeratePairings(const std::vector<uint32_t>& events,
         return;
     }
     used[i] = true;
-    double wb = g.boundaryDistance(events[i]);
-    if (std::isfinite(wb))
-        enumeratePairings(events, g, used, w + wb,
-                          obs ^ g.boundaryObservables(events[i]), out);
+    const ShortestPath b = matchingBoundary(g, events[i]);
+    if (std::isfinite(b.weight))
+        enumeratePairings(events, g, used, w + b.weight,
+                          obs ^ b.observables, out);
     for (size_t j = i + 1; j < events.size(); ++j) {
         if (used[j])
             continue;
-        double wij = g.distance(events[i], events[j]);
-        if (!std::isfinite(wij))
+        const ShortestPath p = matchingPair(g, events[i], events[j]);
+        if (!std::isfinite(p.weight))
             continue;
         used[j] = true;
-        enumeratePairings(events, g, used, w + wij,
-                          obs ^ g.pathObservables(events[i], events[j]),
-                          out);
+        enumeratePairings(events, g, used, w + p.weight,
+                          obs ^ p.observables, out);
         used[j] = false;
     }
     used[i] = false;
@@ -92,13 +91,13 @@ enumeratePairings(const std::vector<uint32_t>& events,
  * within `relTol` of the minimum pairing weight: either the decoders
  * agree, or the syndrome is (near-)degenerate and both corrections are
  * minimum-weight. The tolerance absorbs the UF weight quantization
- * (1/granularity per edge); genuinely wrong pairings differ by at
+ * (1/kGranularity per edge); genuinely wrong pairings differ by at
  * least one full edge weight and stay rejected.
  */
 ::testing::AssertionResult
 ufPredictionIsMinWeight(uint32_t ufObs,
                         const std::vector<uint32_t>& events,
-                        const MatchingGraph& g, double relTol = 0.05)
+                        const ShortestPaths& g, double relTol = 0.05)
 {
     std::vector<std::pair<double, uint32_t>> pairings;
     std::vector<bool> used(events.size(), false);
@@ -159,26 +158,26 @@ TEST(DecodingGraphTest, HandBuiltAccumulation)
     EXPECT_NEAR(g.minWeight(), w03, 1e-12);
 }
 
-TEST(DecodingGraphTest, DemBuildMatchesMatchingGraph)
+TEST(DecodingGraphTest, DemBuildMatchesShortestPaths)
 {
     GeneratorConfig cfg = configFor(3, 2e-3,
                                     ExtractionSchedule::AllAtOnce);
     GeneratedCircuit gen = generateBaselineMemory(cfg);
     DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
     DecodingGraph sparse = DecodingGraph::build(dem);
-    MatchingGraph dense = MatchingGraph::build(sparse);
+    ShortestPaths dense(sparse);
 
     EXPECT_EQ(sparse.numDetectors(), dem.numDetectors());
     EXPECT_GT(sparse.edges().size(), 0u);
-    EXPECT_EQ(dense.numEdges(), sparse.edges().size());
-    EXPECT_EQ(dense.stats().forcedPairings,
+    EXPECT_EQ(dense.graph().edges().size(), sparse.edges().size());
+    EXPECT_EQ(dense.graph().stats().forcedPairings,
               sparse.stats().forcedPairings);
 
     // Every single edge is itself a shortest-path upper bound.
     for (const DecodingEdge& e : sparse.edges()) {
         double d = e.b == sparse.boundaryNode()
-            ? dense.boundaryDistance(e.a)
-            : dense.distance(e.a, e.b);
+            ? matchingBoundary(dense, e.a).weight
+            : matchingPair(dense, e.a, e.b).weight;
         EXPECT_LE(d, e.weight + 1e-5);
         EXPECT_GT(d, 0.0);
     }
@@ -362,7 +361,7 @@ TEST(UnionFindAgreementTest, AllSingleFaultsAtDistanceThree)
                 if (predicted != mwpm.decode(det)) {
                     std::vector<uint32_t> events = det.onesIndices();
                     EXPECT_TRUE(ufPredictionIsMinWeight(
-                        predicted, events, mwpm.graph()))
+                        predicted, events, mwpm.paths()))
                         << "embedding " << embInt << " op "
                         << ch.opIndex;
                 }
@@ -399,7 +398,7 @@ TEST(UnionFindAgreementTest, AllFaultPairsAtDistanceThree)
                 ++disagreements;
                 std::vector<uint32_t> events = det.onesIndices();
                 ASSERT_TRUE(ufPredictionIsMinWeight(predicted, events,
-                                                    mwpm.graph()))
+                                                    mwpm.paths()))
                     << "pair " << i << "," << j;
             }
             ++checked;
@@ -432,7 +431,7 @@ TEST(UnionFindAgreementTest, FaultPairsAtDistanceFive)
             if (predicted != mwpm.decode(det)) {
                 std::vector<uint32_t> events = det.onesIndices();
                 ASSERT_TRUE(ufPredictionIsMinWeight(predicted, events,
-                                                    mwpm.graph()))
+                                                    mwpm.paths()))
                     << "pair " << i << "," << j;
             }
             ++checked;
