@@ -17,7 +17,7 @@
  *                          reading consistent with the paper's plots --
  *                          see EXPERIMENTS.md)
  *   VLQ_SEED    RNG seed
- *   VLQ_DECODER decoder backend: mwpm (default), union-find/uf, greedy
+ *   VLQ_DECODER decoder backend: mwpm (default), union-find/uf
  *   VLQ_BATCH   shots per Monte-Carlo batch        [default 256]
  *   VLQ_TARGET_FAILURES  early-stop each point after this many
  *                        failures (0 = run every trial)

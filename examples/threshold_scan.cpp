@@ -8,7 +8,7 @@
  *                       [--checkpoint <path>] [--compute <backend>]
  *   0 Baseline, 1 Natural-AAO, 2 Natural-Interleaved,
  *   3 Compact-AAO, 4 Compact-Interleaved
- *   decoder: mwpm (default), union-find/uf, greedy; the VLQ_DECODER
+ *   decoder: mwpm (default), union-find/uf; the VLQ_DECODER
  *   environment variable sets the default when the argument is absent.
  *   target: stop each point early after this many failures (0 = run
  *   every trial). VLQ_BATCH sets the Monte-Carlo batch size.

@@ -18,12 +18,6 @@ makeMwpm(const DetectorErrorModel& dem)
 }
 
 std::unique_ptr<Decoder>
-makeGreedy(const DetectorErrorModel& dem)
-{
-    return std::make_unique<GreedyDecoder>(dem);
-}
-
-std::unique_ptr<Decoder>
 makeUnionFind(const DetectorErrorModel& dem)
 {
     return std::make_unique<UnionFindDecoder>(dem);
@@ -34,7 +28,6 @@ mutableRegistry()
 {
     static std::vector<DecoderRegistration> registry{
         {DecoderKind::Mwpm, "mwpm", "blossom matching", makeMwpm},
-        {DecoderKind::Greedy, "greedy", "", makeGreedy},
         {DecoderKind::UnionFind, "union-find", "unionfind uf",
          makeUnionFind},
     };

@@ -15,7 +15,7 @@ namespace vlq {
 class DetectorErrorModel;
 
 /** Which decoder backend a Monte-Carlo run uses. */
-enum class DecoderKind : uint8_t { Mwpm, Greedy, UnionFind };
+enum class DecoderKind : uint8_t { Mwpm, UnionFind };
 
 /** Factory signature every registered backend provides. */
 using DecoderMaker =
@@ -55,7 +55,7 @@ std::unique_ptr<Decoder> makeDecoder(DecoderKind kind,
 std::unique_ptr<Decoder> makeDecoder(std::string_view name,
                                      const DetectorErrorModel& dem);
 
-/** Canonical name of a kind ("mwpm", "greedy", "union-find"). */
+/** Canonical name of a kind ("mwpm", "union-find"). */
 const char* decoderKindName(DecoderKind kind);
 
 /** Parse a name or alias back to a kind. */

@@ -49,7 +49,7 @@ MwpmDecoder::MwpmDecoder(const DetectorErrorModel& dem)
 uint32_t
 MwpmDecoder::decode(const BitVec& detectorFlips) const
 {
-    return matchEvents(detectorFlips.onesIndices());
+    return matchEvents(paths_, detectorFlips.onesIndices());
 }
 
 void
@@ -58,13 +58,13 @@ MwpmDecoder::decodeBatch(const ShotBatch& batch,
 {
     decodeBatchEvents(batch, predictions,
                       [this](const std::vector<uint32_t>& events) {
-                          return matchEvents(events);
+                          return matchEvents(paths_, events);
                       });
 }
 
 namespace {
 
-/** Per-thread scratch of MwpmDecoder::matchEvents, reused across shots. */
+/** Per-thread scratch of matchEvents, reused across calls. */
 struct MatchScratch
 {
     std::vector<ShortestPath> boundary; // b(i) per event
@@ -91,8 +91,8 @@ struct MatchScratch
 } // namespace
 
 uint32_t
-MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
-                         double* weight) const
+matchEvents(const ShortestPaths& paths, const std::vector<uint32_t>& events,
+            double* weight)
 {
     if (weight)
         *weight = 0.0;
@@ -111,7 +111,7 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
     s.pair.resize(um * um);
     s.parent.resize(um);
     for (size_t i = 0; i < um; ++i) {
-        s.boundary[i] = matchingBoundary(paths_, events[i]);
+        s.boundary[i] = matchingBoundary(paths, events[i]);
         s.parent[i] = static_cast<int>(i);
     }
 
@@ -122,12 +122,12 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
     // each pair is read straight from row events[i] of the oracle.
     for (size_t i = 0; i + 1 < um; ++i) {
         const uint32_t u = events[i];
-        const double* row = paths_.rowWeights(u);
-        const double bu = paths_.boundary(u).weight;
+        const double* row = paths.rowWeights(u);
+        const double bu = paths.boundary(u).weight;
         for (size_t j = i + 1; j < um; ++j) {
             const uint32_t v = events[j];
             const double d = matchingWeight(
-                row[v - u - 1], bu, paths_.boundary(v).weight);
+                row[v - u - 1], bu, paths.boundary(v).weight);
             s.pair[i * um + j] = d;
             if (d < s.boundary[i].weight + s.boundary[j].weight) {
                 int ri = s.find(static_cast<int>(i));
@@ -171,7 +171,7 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
             const auto a = static_cast<size_t>(comp[0]);
             const auto b = static_cast<size_t>(comp[1]);
             total += s.pair[a * um + b];
-            obs ^= matchingPair(paths_, events[a], events[b]).observables;
+            obs ^= matchingPair(paths, events[a], events[b]).observables;
             continue;
         }
 
@@ -216,85 +216,13 @@ MwpmDecoder::matchEvents(const std::vector<uint32_t>& events,
                      ^ s.boundary[b].observables;
             } else {
                 total += s.pair[a * um + b];
-                obs ^= matchingPair(paths_, events[a], events[b])
+                obs ^= matchingPair(paths, events[a], events[b])
                            .observables;
             }
         }
     }
     if (weight)
         *weight = total;
-    return obs;
-}
-
-GreedyDecoder::GreedyDecoder(const DetectorErrorModel& dem)
-    : paths_(DecodingGraph::build(dem))
-{
-}
-
-uint32_t
-GreedyDecoder::decode(const BitVec& detectorFlips) const
-{
-    return decodeEvents(detectorFlips.onesIndices());
-}
-
-void
-GreedyDecoder::decodeBatch(const ShotBatch& batch,
-                           std::span<uint32_t> predictions) const
-{
-    decodeBatchEvents(batch, predictions,
-                      [this](const std::vector<uint32_t>& events) {
-                          return decodeEvents(events);
-                      });
-}
-
-uint32_t
-GreedyDecoder::decodeEvents(const std::vector<uint32_t>& events) const
-{
-    const size_t m = events.size();
-    if (m == 0)
-        return 0;
-
-    struct Cand
-    {
-        double w;
-        uint32_t i;
-        uint32_t j; // j == i means boundary
-    };
-    static thread_local std::vector<Cand> cands;
-    cands.clear();
-    for (uint32_t i = 0; i < m; ++i) {
-        const uint32_t u = events[i];
-        const double bu = paths_.boundary(u).weight;
-        const double* row = i + 1 < m ? paths_.rowWeights(u) : nullptr;
-        for (uint32_t j = i + 1; j < m; ++j) {
-            const uint32_t v = events[j];
-            double w = matchingWeight(row[v - u - 1], bu,
-                                      paths_.boundary(v).weight);
-            if (std::isfinite(w))
-                cands.push_back(Cand{w, i, j});
-        }
-        double wb = matchingBoundary(paths_, u).weight;
-        if (std::isfinite(wb))
-            cands.push_back(Cand{wb, i, i});
-    }
-    std::sort(cands.begin(), cands.end(),
-              [](const Cand& a, const Cand& b) { return a.w < b.w; });
-
-    static thread_local std::vector<uint8_t> used;
-    used.assign(m, 0);
-    uint32_t obs = 0;
-    for (const auto& c : cands) {
-        if (used[c.i] || (c.j != c.i && used[c.j]))
-            continue;
-        used[c.i] = 1;
-        if (c.j == c.i) {
-            obs ^= matchingBoundary(paths_, events[c.i]).observables;
-        } else {
-            used[c.j] = 1;
-            obs ^= matchingPair(paths_, events[c.i], events[c.j])
-                       .observables;
-        }
-    }
     return obs;
 }
 

@@ -28,6 +28,20 @@ ShortestPath matchingPair(const ShortestPaths& paths, uint32_t u,
 ShortestPath matchingBoundary(const ShortestPaths& paths, uint32_t u);
 
 /**
+ * The exact matching core: the minimum-weight matching of one event
+ * list over `paths`, returning the XOR of the matched paths'
+ * observables (see MwpmDecoder for the formulation). The events must
+ * ascend strictly (checked). When `weight` is given it receives the
+ * total weight of the matching. Aborts when the events admit no
+ * perfect matching (an event with no finite path to any partner or to
+ * the boundary). MwpmDecoder runs it on a whole shot; union-find runs
+ * it on each large grown cluster.
+ */
+uint32_t matchEvents(const ShortestPaths& paths,
+                     const std::vector<uint32_t>& events,
+                     double* weight = nullptr);
+
+/**
  * Minimum-weight perfect-matching decoder (the paper's "maximum
  * likelihood perfect matching").
  *
@@ -69,39 +83,7 @@ class MwpmDecoder : public Decoder
 
     const ShortestPaths& paths() const { return paths_; }
 
-    /**
-     * Decode one shot's event list, which must ascend strictly
-     * (checked). When `weight` is given it receives the total weight
-     * of the minimum-weight matching. Aborts when the events admit no
-     * perfect matching (an event with no finite path to any partner
-     * or to the boundary).
-     */
-    uint32_t matchEvents(const std::vector<uint32_t>& events,
-                         double* weight = nullptr) const;
-
   private:
-    ShortestPaths paths_;
-};
-
-/**
- * Greedy matching decoder: repeatedly matches the closest available
- * pair (or event-boundary). Used as a decoder-quality ablation; it is
- * strictly weaker than MWPM and lowers the threshold.
- */
-class GreedyDecoder : public Decoder
-{
-  public:
-    explicit GreedyDecoder(const DetectorErrorModel& dem);
-
-    uint32_t decode(const BitVec& detectorFlips) const override;
-
-    /** Batched decode reusing the candidate-pair buffer per shot. */
-    void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions) const override;
-
-  private:
-    uint32_t decodeEvents(const std::vector<uint32_t>& events) const;
-
     ShortestPaths paths_;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "decoder/mwpm_decoder.h"
 #include "dem/shot_batch.h"
 #include "obs/obs.h"
 #include "util/logging.h"
@@ -66,11 +67,11 @@ struct Scratch
     std::vector<uint8_t> erasedEdge;
     std::vector<std::pair<uint32_t, uint32_t>> erasedBoundary;
 
-    // Peeling state.
+    // Per-cluster resolution state.
     std::vector<std::vector<uint32_t>> clusterDefects; // by root
-    std::vector<std::vector<uint32_t>> clusterEdges;   // by root
+    std::vector<std::vector<uint32_t>> clusterEdges;   // by root, erased shots
     std::vector<uint32_t> roots;
-    // Large-cluster forest peel.
+    // Erased-cluster forest peel.
     std::vector<uint8_t> visited; // BFS marks, cleared after each peel
     std::vector<std::vector<uint32_t>> treeAdj; // by vertex
     std::vector<uint32_t> bfsVerts;
@@ -356,8 +357,6 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
 
     constexpr double kInf = std::numeric_limits<double>::infinity();
     uint32_t obs = 0;
-    uint32_t matchedPairs = 0;
-    uint32_t boundaryMatches = 0;
     auto& pairW = s.pairW;
     auto& pairObs = s.pairObs;
     auto& bndW = s.bndW;
@@ -366,9 +365,10 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
 
     /**
      * Exact minimum-weight matching of one defect set (boundary
-     * optional) over global shortest-path distances from the oracle.
-     * Used for whole small syndromes (fast path) and for small grown
-     * clusters. Pair paths never route through the boundary node --
+     * optional) over global shortest-path distances from the oracle,
+     * by branch-and-bound. Used for whole small syndromes (fast path)
+     * and for small grown clusters, where it is cheaper than the
+     * blossom core. Pair paths never route through the boundary node --
      * boundary pairing is a separate option, exactly as in the
      * blossom formulation.
      */
@@ -377,10 +377,8 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         // Lone defect: its boundary path is the matching.
         if (k == 1) {
             const ShortestPath b = paths_.boundary(defects[0]);
-            if (std::isfinite(b.weight)) {
+            if (std::isfinite(b.weight))
                 obs ^= b.observables;
-                ++boundaryMatches;
-            }
             return;
         }
         // Defect pair: one compare, no arrays. Ties prefer the
@@ -390,16 +388,12 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             const ShortestPath b0 = paths_.boundary(defects[0]);
             const ShortestPath b1 = paths_.boundary(defects[1]);
             const double b = b0.weight + b1.weight;
-            if (p.weight < b) {
+            if (p.weight < b)
                 obs ^= p.observables;
-                ++matchedPairs;
-            } else if (std::isfinite(b)) {
+            else if (std::isfinite(b))
                 obs ^= b0.observables ^ b1.observables;
-                boundaryMatches += 2;
-            } else if (std::isfinite(p.weight)) {
+            else if (std::isfinite(p.weight))
                 obs ^= p.observables;
-                ++matchedPairs;
-            }
             return;
         }
         pairW.assign(k * k, kInf);
@@ -438,14 +432,10 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         // is a legitimate minimum-weight (degenerate) solution.
         double bestW = kInf;
         uint32_t bestObs = 0;
-        uint32_t bestPairs = 0;
-        uint32_t bestBnds = 0;
         if (k >= 5) {
             uint32_t gUsed = 0;
             double gW = 0.0;
             uint32_t gObs = 0;
-            uint32_t gPairs = 0;
-            uint32_t gBnds = 0;
             bool feasible = true;
             for (size_t i = 0; i < k && feasible; ++i) {
                 if ((gUsed >> i) & 1u)
@@ -466,23 +456,18 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
                 if (bj >= 0) {
                     gUsed |= 1u << bj;
                     gObs ^= pairObs[i * k + static_cast<size_t>(bj)];
-                    ++gPairs;
                 } else {
                     gObs ^= bndObs[i];
-                    ++gBnds;
                 }
                 gW += best;
             }
             if (feasible) {
                 bestW = gW;
                 bestObs = gObs;
-                bestPairs = gPairs;
-                bestBnds = gBnds;
             }
         }
         auto search = [&](auto&& self, uint32_t used, double w,
-                          double lbRemaining, uint32_t o,
-                          uint32_t pairs, uint32_t bnds) -> void {
+                          double lbRemaining, uint32_t o) -> void {
             if (w + lbRemaining >= bestW)
                 return;
             size_t i = 0;
@@ -491,14 +476,12 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             if (i == k) {
                 bestW = w;
                 bestObs = o;
-                bestPairs = pairs;
-                bestBnds = bnds;
                 return;
             }
             uint32_t mi = used | (1u << i);
             if (std::isfinite(bndW[i]))
                 self(self, mi, w + bndW[i], lbRemaining - defLB[i],
-                     o ^ bndObs[i], pairs, bnds + 1);
+                     o ^ bndObs[i]);
             for (size_t j = i + 1; j < k; ++j) {
                 if ((used >> j) & 1u)
                     continue;
@@ -506,18 +489,15 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
                 if (std::isfinite(wij))
                     self(self, mi | (1u << j), w + wij,
                          lbRemaining - defLB[i] - defLB[j],
-                         o ^ pairObs[i * k + j], pairs + 1, bnds);
+                         o ^ pairObs[i * k + j]);
             }
         };
         double lb0 = 0.0;
         for (size_t i = 0; i < k; ++i)
             lb0 += defLB[i];
-        search(search, 0, 0.0, lb0, 0, 0, 0);
-        if (std::isfinite(bestW)) {
+        search(search, 0, 0.0, lb0, 0);
+        if (std::isfinite(bestW))
             obs ^= bestObs;
-            matchedPairs += bestPairs;
-            boundaryMatches += bestBnds;
-        }
     };
 
     // Fast path: a small syndrome is matched exactly as one global
@@ -532,12 +512,9 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             fastPath.add(1);
         }
         matchDefectsExact(events);
-        if (info) {
+        if (info)
             info->initialClusters =
                 static_cast<uint32_t>(events.size());
-            info->matchedPairs = matchedPairs;
-            info->boundaryMatches = boundaryMatches;
-        }
         return obs;
     }
 
@@ -740,41 +717,46 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         s.active.swap(s.nextActive);
     }
 
-    // Peeling. Group defects (and grown edges) by cluster root; each
-    // cluster resolves independently. Small clusters -- the bulk of
-    // the work below threshold -- get a minimum-weight matching of
-    // their defects on global shortest-path distances, which is what
-    // makes the result agree with MWPM on small syndromes up to
-    // genuine weight degeneracy. Large clusters (rare, near or above
-    // threshold) fall back to the classic linear peel of a spanning
-    // forest of their grown edges.
+    // Group defects by cluster root (ascending within each cluster,
+    // since events ascend); each cluster resolves independently with
+    // an exact minimum-weight matching of its defects on global
+    // shortest-path distances -- branch-and-bound for small clusters,
+    // the blossom core for large ones -- which is what makes the
+    // result agree with MWPM up to the cluster split and genuine
+    // weight degeneracy. Only clusters holding erased edges need their
+    // grown edges, for the forest peel.
     for (uint32_t v : events) {
         uint32_t r = s.find(v);
         if (s.clusterDefects[r].empty())
             s.roots.push_back(r);
         s.clusterDefects[r].push_back(v);
     }
-    for (uint32_t e : s.grownList) {
-        if (g.edgeA[e] == boundary || g.edgeB[e] == boundary)
-            continue; // boundary exits use the precomputed table
-        uint32_t r = s.find(g.edgeA[e]);
-        // Erasure seeding can grow defect-free clusters. They need no
-        // correction, and their roots are never peeled (or cleared),
-        // so their edges must not reach the per-thread lists.
-        if (!s.clusterDefects[r].empty())
-            s.clusterEdges[r].push_back(e);
+    if (hasErasures) {
+        for (uint32_t e : s.grownList) {
+            if (g.edgeA[e] == boundary || g.edgeB[e] == boundary)
+                continue; // boundary exits use the precomputed table
+            uint32_t r = s.find(g.edgeA[e]);
+            // Erasure seeding can grow defect-free clusters. They need
+            // no correction, and their roots are never peeled (or
+            // cleared), so their edges must not reach the per-thread
+            // lists.
+            if (!s.clusterDefects[r].empty())
+                s.clusterEdges[r].push_back(e);
+        }
     }
 
-    constexpr size_t kExactMatching = 6;
+    // Clusters up to this size keep the branch-and-bound, which beats
+    // the blossom core there; its cost grows exponentially beyond.
+    constexpr size_t kBranchAndBoundMax = 6;
 
-    // Classic union-find peeling for one large (or erased) cluster:
-    // build a BFS spanning tree of the cluster's grown edges, peel it
-    // leaves-first XOR-ing a tree edge whenever the child side carries
-    // a defect, and send any leftover root defect to the boundary --
-    // through the cluster's erased boundary edge when it has one (the
-    // free exit, exact for erasure-only shots), otherwise via the
-    // global table. Erased edges sit in the tree like any grown edge,
-    // which is what makes peeling exact on pure-erasure clusters.
+    // Classic union-find peeling for one erased cluster: build a BFS
+    // spanning tree of the cluster's grown edges, peel it leaves-first
+    // XOR-ing a tree edge whenever the child side carries a defect,
+    // and send any leftover root defect to the boundary -- through the
+    // cluster's erased boundary edge when it has one (the free exit,
+    // exact for erasure-only shots), otherwise via the global table.
+    // Erased edges sit in the tree like any grown edge, which is what
+    // makes peeling exact on pure-erasure clusters.
     auto peelForest = [&](uint32_t r,
                           const std::vector<uint32_t>& defects,
                           bool hasExit, uint32_t exitVertex,
@@ -813,18 +795,14 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             obs ^= g.edgeObs[pe];
             s.defect[v] = 0;
             s.defect[u] ^= 1;
-            ++matchedPairs;
         }
         if (s.defect[root]) {
             s.defect[root] = 0;
-            if (hasExit) {
+            if (hasExit)
                 obs ^= exitObs;
-                ++boundaryMatches;
-            } else if (const ShortestPath b = paths_.boundary(root);
-                       std::isfinite(b.weight)) {
+            else if (const ShortestPath b = paths_.boundary(root);
+                     std::isfinite(b.weight))
                 obs ^= b.observables;
-                ++boundaryMatches;
-            }
         }
         for (uint32_t v : s.order)
             s.visited[v] = 0;
@@ -859,8 +837,10 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
                 }
             }
         }
-        if (defects.size() > kExactMatching || erased || hasExit)
+        if (erased || hasExit)
             peelForest(r, defects, hasExit, exitVertex, exitObs);
+        else if (defects.size() > kBranchAndBoundMax)
+            obs ^= matchEvents(paths_, defects);
         else
             matchDefectsExact(defects);
         s.clusterEdges[r].clear();
@@ -873,11 +853,8 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
         s.erasedBoundary.clear();
     }
 
-    if (info) {
+    if (info)
         info->growthRounds = rounds;
-        info->matchedPairs = matchedPairs;
-        info->boundaryMatches = boundaryMatches;
-    }
     return obs;
 }
 

@@ -46,19 +46,21 @@ struct UnionFindOptions
  * exact and stops the shared boundary node from chaining unrelated
  * clusters together. Growth stops when no active cluster remains.
  *
- * Each finished cluster is then peeled independently. Small clusters
- * -- the bulk of the work below threshold -- get an exact
- * minimum-weight matching of their defects over global shortest-path
- * distances, read from the decoder's ShortestPaths oracle: the
- * defect-to-boundary option from its boundary table, defect pairs from
- * its bulk rows, each filled once on first use and then shared by
- * every thread (global distances do not depend on the shot, so the
- * shared rows preserve reproducibility). Large clusters fall back to
- * the classic linear peel of a spanning forest of their grown edges.
- * The XOR of observable masks along the chosen paths is the
- * correction. No global blossom search: the fast backend for
- * large-distance Monte-Carlo scans, agreeing with MWPM on small
- * syndromes up to genuine weight degeneracy.
+ * Each finished cluster then gets an exact minimum-weight matching of
+ * its defects over global shortest-path distances, read from the
+ * decoder's ShortestPaths oracle: the defect-to-boundary option from
+ * its boundary table, defect pairs from its bulk rows, each filled
+ * once on first use and then shared by every thread (global distances
+ * do not depend on the shot, so the shared rows preserve
+ * reproducibility). Small clusters -- the bulk of the work below
+ * threshold -- are solved by branch-and-bound; large ones by the
+ * blossom core MWPM uses (matchEvents): grow locally, then match
+ * exactly, as sparse blossom does. Only clusters holding erased
+ * edges peel a spanning forest of their grown edges (see
+ * decodeWithErasures). The XOR of observable masks along the chosen
+ * paths is the correction. No global blossom search: the fast backend
+ * for large-distance Monte-Carlo scans, agreeing with MWPM up to the
+ * cluster split and genuine weight degeneracy.
  *
  * Syndromes below UnionFindOptions::exactSyndromeThreshold events
  * short-circuit growth altogether (see the option's doc): the scratch
@@ -81,8 +83,6 @@ class UnionFindDecoder : public Decoder
     {
         uint32_t growthRounds = 0;
         uint32_t initialClusters = 0;
-        uint32_t matchedPairs = 0;     // defect-defect correction chains
-        uint32_t boundaryMatches = 0;  // defect-boundary chains
     };
 
     explicit UnionFindDecoder(const DetectorErrorModel& dem,

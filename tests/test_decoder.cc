@@ -155,39 +155,6 @@ TEST(MwpmDecoderTest, TwoFaultsAtDistanceFive)
     EXPECT_GT(checked, 50);
 }
 
-TEST(GreedyDecoderTest, CorrectsMostSingleFaults)
-{
-    // Greedy matching is the decoder-quality ablation: unlike exact
-    // MWPM it may mispair even a single fault's two events when a
-    // boundary edge looks locally cheaper, so we only require a high
-    // correction fraction (MWPM is required to reach 100% above).
-    GeneratorConfig cfg = configFor(3, 2e-3,
-                                    ExtractionSchedule::AllAtOnce);
-    GeneratedCircuit gen = generateBaselineMemory(cfg);
-    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
-    GreedyDecoder decoder(dem);
-    int total = 0;
-    int wrong = 0;
-    for (const auto& ch : dem.channels()) {
-        for (const auto& o : dem.outcomes(ch)) {
-            BitVec det(dem.numDetectors());
-            for (uint32_t dIdx : dem.detectors(o))
-                det.flip(dIdx);
-            if (decoder.decode(det) != o.observables)
-                ++wrong;
-            ++total;
-        }
-    }
-    EXPECT_GT(total, 100);
-    // Empirically greedy mispredicts ~28% of single faults at d=3
-    // (boundary edges accumulate probability and look locally cheap);
-    // the point of this test is that it is far from random (50%) while
-    // MWPM achieves 0% -- the gap IS the ablation.
-    EXPECT_LT(static_cast<double>(wrong) / total, 0.40)
-        << wrong << "/" << total;
-    EXPECT_GT(wrong, 0) << "greedy unexpectedly optimal";
-}
-
 TEST(MwpmDecoderTest, OddEventCountUsesBoundary)
 {
     // A single boundary-adjacent fault fires one detector; the decoder
@@ -366,11 +333,9 @@ TEST(MatchingGraphTest, KeepsObservableBitsAboveSeven)
     ASSERT_EQ(dem.numObservables(), 32u);
 
     const MwpmDecoder mwpm(dem);
-    const GreedyDecoder greedy(dem);
     const UnionFindDecoder uf(dem);
     for (const Decoder* decoder :
          {static_cast<const Decoder*>(&mwpm),
-          static_cast<const Decoder*>(&greedy),
           static_cast<const Decoder*>(&uf)}) {
         BitVec det(2);
         det.set(0, true);
@@ -581,7 +546,7 @@ expectMatchesReference(const MwpmDecoder& decoder,
                        const std::string& where)
 {
     double weight = -1.0;
-    uint32_t predicted = decoder.matchEvents(events, &weight);
+    uint32_t predicted = matchEvents(decoder.paths(), events, &weight);
     ReferenceMatch ref = referenceMatch(decoder.paths(), events);
     EXPECT_EQ(predicted, ref.observables) << where;
     EXPECT_NEAR(weight, ref.weight,
@@ -714,7 +679,7 @@ TEST(MwpmDecoderTest, EvenComponentSendsTwoEventsToTheBoundary)
     // path runs through the boundary, carrying the left edge's flip.
     MwpmDecoder decoder(lineModel({1, 5, 1, 5, 1}, 0));
     double weight = 0.0;
-    EXPECT_EQ(decoder.matchEvents({0, 1, 2, 3}, &weight), 1u);
+    EXPECT_EQ(matchEvents(decoder.paths(), {0, 1, 2, 3}, &weight), 1u);
     EXPECT_NEAR(weight, 3.0, 1e-5);
     expectMatchesReference(decoder, {0, 1, 2, 3}, "line");
 }
@@ -730,9 +695,9 @@ TEST(MwpmDecoderTest, EvenComponentWithoutBoundaryMatchesPairs)
 {
     MwpmDecoder decoder(boundarylessChain());
     double weight = 0.0;
-    EXPECT_EQ(decoder.matchEvents({0, 2}, &weight), 1u);
+    EXPECT_EQ(matchEvents(decoder.paths(), {0, 2}, &weight), 1u);
     EXPECT_NEAR(weight, std::log(99.0) + std::log(49.0), 1e-5);
-    EXPECT_EQ(decoder.matchEvents({1, 2}), 0u);
+    EXPECT_EQ(matchEvents(decoder.paths(), {1, 2}), 0u);
 }
 
 TEST(MwpmDecoderTest, OddComponentWithoutBoundaryDies)
@@ -740,8 +705,10 @@ TEST(MwpmDecoderTest, OddComponentWithoutBoundaryDies)
     // Neither a lone event nor an odd component of three may quietly
     // decode to "no correction" when nothing reaches the boundary.
     MwpmDecoder decoder(boundarylessChain());
-    EXPECT_DEATH(decoder.matchEvents({1}), "no perfect matching");
-    EXPECT_DEATH(decoder.matchEvents({0, 1, 2}), "no perfect matching");
+    EXPECT_DEATH(matchEvents(decoder.paths(), {1}),
+                 "no perfect matching");
+    EXPECT_DEATH(matchEvents(decoder.paths(), {0, 1, 2}),
+                 "no perfect matching");
 }
 
 TEST(MwpmDecoderTest, RejectsUnsortedEvents)
@@ -749,8 +716,10 @@ TEST(MwpmDecoderTest, RejectsUnsortedEvents)
     // Pairs are read from row min(u, v) = events[i] of the oracle, so
     // the event list must ascend.
     MwpmDecoder decoder(lineModel({1, 5, 1, 5, 1}, 0));
-    EXPECT_DEATH(decoder.matchEvents({2, 0}), "strictly ascending");
-    EXPECT_DEATH(decoder.matchEvents({1, 1}), "strictly ascending");
+    EXPECT_DEATH(matchEvents(decoder.paths(), {2, 0}),
+                 "strictly ascending");
+    EXPECT_DEATH(matchEvents(decoder.paths(), {1, 1}),
+                 "strictly ascending");
 }
 
 } // namespace

@@ -348,20 +348,5 @@ TEST(MonteCarlo, GapModelAffectsMemoryVariantsOnly)
     EXPECT_EQ(b1.basisZ.successes, b2.basisZ.successes);
 }
 
-TEST(MonteCarlo, GreedyDecoderIsWorseOrEqual)
-{
-    GeneratorConfig cfg = mcConfig(5, 8e-3);
-    McOptions mwpm;
-    mwpm.trials = 1500;
-    McOptions greedy = mwpm;
-    greedy.decoder = DecoderKind::Greedy;
-    LogicalErrorPoint a = estimateLogicalError(
-        EmbeddingKind::Baseline2D, cfg, mwpm);
-    LogicalErrorPoint b = estimateLogicalError(
-        EmbeddingKind::Baseline2D, cfg, greedy);
-    // Greedy should not beat exact MWPM by more than noise.
-    EXPECT_GE(b.combinedRate() + 0.02, a.combinedRate());
-}
-
 } // namespace
 } // namespace vlq

@@ -209,6 +209,21 @@ TEST(ServiceValidation, RejectsBadDecoderWithRegistryListing)
     EXPECT_TRUE(anyProblemContains(problems, "mwpm"));
 }
 
+TEST(ServiceValidation, RejectsRemovedGreedyDecoder)
+{
+    // The client's --decoder flag becomes the same request line, so
+    // this also pins `scan_client submit --decoder greedy`.
+    std::string problem;
+    std::optional<service::Request> request = service::parseRequestLine(
+        "submit id=g setup=0 decoder=greedy", &problem);
+    ASSERT_TRUE(request) << problem;
+    auto problems = service::validateJob(request->job);
+    EXPECT_TRUE(anyProblemContains(
+        problems,
+        "unknown decoder 'greedy'; registered decoders: mwpm, "
+        "union-find"));
+}
+
 TEST(ServiceValidation, RejectsBadEmbeddingWithRegistryListing)
 {
     ScanJob job = smallJob("bad-embedding");

@@ -234,7 +234,7 @@ TEST(TsanStress, CrossThreadCheckpointCommitsResumeBitIdentically)
     opt.seed = 31;
     opt.threads = 4;
     opt.batchSize = 32;
-    opt.decoder = DecoderKind::Greedy;
+    opt.decoder = DecoderKind::UnionFind;
 
     BinomialEstimate solo = estimateLogicalErrorBasis(
         EmbeddingKind::Baseline2D, stressPoint(), opt);

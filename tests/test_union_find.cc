@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,8 @@
 #include "decoder/union_find.h"
 #include "dem/detector_model.h"
 #include "dem/sampler.h"
+#include "dem/shot_batch.h"
+#include "mc/memory_experiment.h"
 #include "mc/monte_carlo.h"
 #include "util/rng.h"
 
@@ -31,6 +35,15 @@ configFor(int d, double p, ExtractionSchedule sched,
     cfg.noise = NoiseModel::atPhysicalRate(
         p, HardwareParams::transmonsWithMemory());
     return cfg;
+}
+
+/** Z-basis memory circuit of paper setup `setup` (Fig. 11 order). */
+GeneratedCircuit
+paperSetupCircuit(int setup, int d, double p)
+{
+    EvaluationSetup es = paperSetups()[static_cast<size_t>(setup)];
+    return generateMemoryCircuit(es.embedding,
+                                 configFor(d, p, es.schedule));
 }
 
 BitVec
@@ -218,8 +231,7 @@ TEST(UnionFindTest, EmptySyndromeNoCorrection)
     UnionFindDecoder::DecodeInfo info;
     EXPECT_EQ(uf.decode(BitVec(3), &info), 0u);
     EXPECT_EQ(info.growthRounds, 0u);
-    EXPECT_EQ(info.matchedPairs, 0u);
-    EXPECT_EQ(info.boundaryMatches, 0u);
+    EXPECT_EQ(info.initialClusters, 0u);
 }
 
 TEST(UnionFindTest, SingleDefectMatchesToNearestBoundary)
@@ -234,11 +246,10 @@ TEST(UnionFindTest, AdjacentDefectsMergeThroughDirectEdge)
     UnionFindDecoder uf(chainGraph(), growthOnly());
     UnionFindDecoder::DecodeInfo info;
     // 0-1 direct (4.60, grown from both ends) beats 0's boundary
-    // (3.48, grown from one end only).
+    // (3.48, grown from one end only): the pair's mask is 0, while
+    // sending both to the boundary would flip 1 ^ 2 = 3.
     EXPECT_EQ(uf.decode(syndromeOf({0, 1}, 3), &info), 0u);
     EXPECT_EQ(info.initialClusters, 2u);
-    EXPECT_EQ(info.matchedPairs, 1u);
-    EXPECT_EQ(info.boundaryMatches, 0u);
     EXPECT_EQ(uf.decode(syndromeOf({1, 2}, 3)), 2u);
 }
 
@@ -246,11 +257,11 @@ TEST(UnionFindTest, FarDefectsFreezeAtTheirBoundaries)
 {
     UnionFindDecoder uf(chainGraph(), growthOnly());
     UnionFindDecoder::DecodeInfo info;
-    // Boundary pairing (3.48 + 3.48) beats the middle path (8.49):
-    // both clusters freeze on boundary contact and peel separately.
+    // Boundary pairing (3.48 + 3.48, mask 1 ^ 0) beats the middle
+    // path (8.49, mask 0 ^ 2): both clusters freeze on boundary
+    // contact and resolve separately.
     EXPECT_EQ(uf.decode(syndromeOf({0, 2}, 3), &info), 1u);
-    EXPECT_EQ(info.matchedPairs, 0u);
-    EXPECT_EQ(info.boundaryMatches, 2u);
+    EXPECT_EQ(info.initialClusters, 2u);
 }
 
 TEST(UnionFindTest, MiddleDefectTakesCheaperBoundaryPath)
@@ -279,12 +290,22 @@ treeGraph()
 
 TEST(UnionFindTest, ClustersGrowThroughPristineVertices)
 {
-    UnionFindDecoder uf(treeGraph(), growthOnly());
+    // treeGraph plus a boundary edge of 2's own (p = .005, obs 16).
+    // On the bare tree both boundary paths share 1-3-B, so sending 0
+    // and 2 to the boundary flips the same mask as pairing them; here
+    // the answers differ: pair 0-1-2 is mask 1 (weight 9.19), the
+    // boundary paths 0-1-3-B and 2-B are mask 13 ^ 16 = 29 (19.08).
+    DecodingGraph g(4);
+    g.addContribution(0, 1, 0.01, 1);
+    g.addContribution(1, 2, 0.01, 0);
+    g.addContribution(1, 3, 0.01, 8);
+    g.addContribution(3, g.boundaryNode(), 0.01, 4);
+    g.addContribution(2, g.boundaryNode(), 0.005, 16);
+    g.finalize();
+    UnionFindDecoder uf(g, growthOnly());
     UnionFindDecoder::DecodeInfo info;
     // Defects at 0 and 2 meet around vertex 1.
     EXPECT_EQ(uf.decode(syndromeOf({0, 2}, 4), &info), 1u);
-    EXPECT_EQ(info.matchedPairs, 1u);
-    EXPECT_EQ(info.boundaryMatches, 0u);
     EXPECT_GT(info.growthRounds, 0u);
 }
 
@@ -464,16 +485,38 @@ TEST(UnionFindAgreementTest, SampledShotsMostlyAgreeWithMwpm)
     EXPECT_GE(agree, shots * 9 / 10) << agree << "/" << shots;
 }
 
+TEST(UnionFindAgreementTest, LargeClusterGetsMinimumWeightMatching)
+{
+    // Two seeded shots (d = 7, setup 0, p = 3e-3, trials 13730 and
+    // 18225 of seed 0x5eed), each one grown cluster of 7 defects. MWPM
+    // corrects both; a BFS spanning-forest peel of the cluster picks
+    // an unweighted tree path and flips the logical. Clusters above
+    // the branch-and-bound size must get the blossom's answer.
+    GeneratedCircuit gen = paperSetupCircuit(0, 7, 3e-3);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    MwpmDecoder mwpm(dem);
+    UnionFindDecoder uf(dem, growthOnly());
+    for (const std::vector<uint32_t>& events :
+         std::vector<std::vector<uint32_t>>{
+             {81, 84, 89, 93, 101, 108, 113},
+             {58, 61, 85, 90, 110, 114, 118}}) {
+        BitVec det = syndromeOf(events, dem.numDetectors());
+        EXPECT_EQ(mwpm.decode(det), 0u);
+        EXPECT_EQ(uf.decode(det), mwpm.decode(det))
+            << "first event " << events[0];
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Factory and registry
 // ---------------------------------------------------------------------------
 
 TEST(DecoderFactoryTest, RegistryHasBuiltins)
 {
-    ASSERT_GE(decoderRegistry().size(), 3u);
+    ASSERT_EQ(decoderRegistry().size(), 2u);
     EXPECT_STREQ(decoderKindName(DecoderKind::Mwpm), "mwpm");
-    EXPECT_STREQ(decoderKindName(DecoderKind::Greedy), "greedy");
     EXPECT_STREQ(decoderKindName(DecoderKind::UnionFind), "union-find");
+    EXPECT_EQ(decoderKindList(), "mwpm, union-find");
 }
 
 TEST(DecoderFactoryTest, ParsesNamesAndAliases)
@@ -481,10 +524,11 @@ TEST(DecoderFactoryTest, ParsesNamesAndAliases)
     EXPECT_EQ(parseDecoderKind("mwpm"), DecoderKind::Mwpm);
     EXPECT_EQ(parseDecoderKind("MWPM"), DecoderKind::Mwpm);
     EXPECT_EQ(parseDecoderKind("blossom"), DecoderKind::Mwpm);
-    EXPECT_EQ(parseDecoderKind("greedy"), DecoderKind::Greedy);
     EXPECT_EQ(parseDecoderKind("union-find"), DecoderKind::UnionFind);
     EXPECT_EQ(parseDecoderKind("UnionFind"), DecoderKind::UnionFind);
     EXPECT_EQ(parseDecoderKind("uf"), DecoderKind::UnionFind);
+    // Only exact matchers are registered: the greedy matcher is gone.
+    EXPECT_FALSE(parseDecoderKind("greedy").has_value());
     EXPECT_FALSE(parseDecoderKind("bogus").has_value());
     EXPECT_FALSE(parseDecoderKind("").has_value());
 }
@@ -502,6 +546,7 @@ TEST(DecoderFactoryTest, MakesEveryRegisteredBackend)
         EXPECT_EQ(dec->decode(empty), 0u) << entry.name;
     }
     EXPECT_NE(makeDecoder("uf", dem), nullptr);
+    EXPECT_EQ(makeDecoder("greedy", dem), nullptr);
     EXPECT_EQ(makeDecoder("bogus", dem), nullptr);
 }
 
@@ -511,48 +556,100 @@ TEST(DecoderFactoryTest, EnvKnobSelectsBackend)
     EXPECT_EQ(decoderKindFromEnv(DecoderKind::Mwpm,
                                  "VLQ_DECODER_TESTVAR"),
               DecoderKind::UnionFind);
-    ::setenv("VLQ_DECODER_TESTVAR", "greedy", 1);
-    EXPECT_EQ(decoderKindFromEnv(DecoderKind::Mwpm,
+    ::setenv("VLQ_DECODER_TESTVAR", "mwpm", 1);
+    EXPECT_EQ(decoderKindFromEnv(DecoderKind::UnionFind,
                                  "VLQ_DECODER_TESTVAR"),
-              DecoderKind::Greedy);
-    // A typo'd value must be a hard error listing the valid keys,
-    // never a silent fallback to some default backend.
-    ::setenv("VLQ_DECODER_TESTVAR", "nonsense", 1);
-    EXPECT_EXIT(decoderKindFromEnv(DecoderKind::UnionFind,
-                                   "VLQ_DECODER_TESTVAR"),
-                ::testing::ExitedWithCode(1),
-                "not a registered decoder \\(valid: mwpm, greedy, "
-                "union-find\\)");
+              DecoderKind::Mwpm);
+    // A typo'd or removed value must be a hard error listing the
+    // valid keys, never a silent fallback to some default backend.
+    for (const char* bad : {"nonsense", "greedy"}) {
+        ::setenv("VLQ_DECODER_TESTVAR", bad, 1);
+        EXPECT_EXIT(decoderKindFromEnv(DecoderKind::UnionFind,
+                                       "VLQ_DECODER_TESTVAR"),
+                    ::testing::ExitedWithCode(1),
+                    "VLQ_DECODER_TESTVAR=" + std::string(bad)
+                        + " is not a registered decoder \\(valid: "
+                          "mwpm, union-find\\)");
+    }
     ::unsetenv("VLQ_DECODER_TESTVAR");
-    EXPECT_EQ(decoderKindFromEnv(DecoderKind::Greedy,
+    EXPECT_EQ(decoderKindFromEnv(DecoderKind::UnionFind,
                                  "VLQ_DECODER_TESTVAR"),
-              DecoderKind::Greedy);
+              DecoderKind::UnionFind);
 }
 
 // ---------------------------------------------------------------------------
 // End to end through Monte-Carlo
 // ---------------------------------------------------------------------------
 
-TEST(UnionFindMcTest, LogicalErrorWithinTwiceMwpmBelowThreshold)
+/**
+ * Decode one seeded Z-basis shot set with MWPM and with union-find
+ * (default options) and require UF's failures to stay within 1.15x
+ * MWPM's, plus a one-sided margin of three standard deviations of a
+ * binomial count with that mean. Both decoders see the same shots, so
+ * their failures are strongly correlated and the independent-count
+ * margin is conservative. The shot counts give the gate power:
+ * resolving clusters of more than six defects by a spanning-forest
+ * peel reads 1.7-3.7x MWPM's failures here and fails every point.
+ */
+void
+expectUnionFindWithinMwpm(int setup, int d, uint64_t shots)
 {
-    GeneratorConfig cfg = configFor(3, 5e-3,
-                                    ExtractionSchedule::AllAtOnce);
-    McOptions mwpmOpts;
-    mwpmOpts.trials = 1200;
-    mwpmOpts.seed = 0x5eed;
-    McOptions ufOpts = mwpmOpts;
-    ufOpts.decoder = DecoderKind::UnionFind;
+    GeneratedCircuit gen = paperSetupCircuit(setup, d, 3e-3);
+    DetectorErrorModel dem = DetectorErrorModel::build(gen.circuit);
+    FaultSampler sampler(dem);
+    MwpmDecoder mwpm(dem);
+    UnionFindDecoder uf(dem);
 
-    LogicalErrorPoint a = estimateLogicalError(EmbeddingKind::Baseline2D,
-                                               cfg, mwpmOpts);
-    LogicalErrorPoint b = estimateLogicalError(EmbeddingKind::Baseline2D,
-                                               cfg, ufOpts);
-    EXPECT_GT(a.combinedRate(), 0.0);
-    EXPECT_GT(b.combinedRate(), 0.0);
-    // Acceptance bar: UF stays within 2x of MWPM below threshold (with
-    // a small absolute slack for binomial noise at these trial counts).
-    EXPECT_LE(b.combinedRate(), 2.0 * a.combinedRate() + 0.02)
-        << "uf " << b.combinedRate() << " mwpm " << a.combinedRate();
+    const Rng root(0x5eed);
+    ShotBatch batch;
+    std::vector<uint32_t> mwpmPred;
+    std::vector<uint32_t> ufPred;
+    uint64_t mwpmFailures = 0;
+    uint64_t ufFailures = 0;
+    for (uint64_t begin = 0; begin < shots; begin += 256) {
+        const auto count =
+            static_cast<uint32_t>(std::min<uint64_t>(256, shots - begin));
+        batch.reset(dem.numDetectors(), dem.numObservables(), count,
+                    begin);
+        sampler.sampleBatchInto(root, batch);
+        mwpmPred.resize(count);
+        ufPred.resize(count);
+        mwpm.decodeBatch(batch, mwpmPred);
+        uf.decodeBatch(batch, ufPred);
+        for (uint32_t s = 0; s < count; ++s) {
+            mwpmFailures += mwpmPred[s] != batch.observables(s);
+            ufFailures += ufPred[s] != batch.observables(s);
+        }
+    }
+    // With too few MWPM failures the gate could not fail.
+    EXPECT_GE(mwpmFailures, 10u) << "setup " << setup << " d " << d;
+    const double bound = 1.15 * static_cast<double>(mwpmFailures);
+    EXPECT_LE(static_cast<double>(ufFailures),
+              bound + 3.0 * std::sqrt(bound))
+        << "setup " << setup << " d " << d << ": uf " << ufFailures
+        << " mwpm " << mwpmFailures << " of " << shots;
+}
+
+// One test per point keeps each well inside the per-test timeout
+// under the sanitizer builds (d=9 compact is ~12 s under TSan).
+TEST(UnionFindMcTest, FailuresWithinMwpmSetup0D7)
+{
+    expectUnionFindWithinMwpm(0, 7, 20000);
+}
+
+TEST(UnionFindMcTest, FailuresWithinMwpmSetup4D7)
+{
+    expectUnionFindWithinMwpm(4, 7, 20000);
+}
+
+TEST(UnionFindMcTest, FailuresWithinMwpmSetup0D9)
+{
+    expectUnionFindWithinMwpm(0, 9, 6000);
+}
+
+TEST(UnionFindMcTest, FailuresWithinMwpmSetup4D9)
+{
+    expectUnionFindWithinMwpm(4, 9, 6000);
 }
 
 // ---------------------------------------------------------------------------
@@ -582,7 +679,6 @@ TEST(UnionFindErasureTest, ErasedBoundaryEdgeIsAFreeExit)
     // through the free exit without growing at all.
     EXPECT_EQ(uf.decodeErasedEdges(syndromeOf({0}, 3), {0}, &info), 1u);
     EXPECT_EQ(info.growthRounds, 0u);
-    EXPECT_EQ(info.boundaryMatches, 1u);
 
     // Erasing an edge the syndrome never touches changes nothing.
     EXPECT_EQ(uf.decodeErasedEdges(syndromeOf({0}, 3), {2}), 1u);
