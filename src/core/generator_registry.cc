@@ -40,10 +40,19 @@ compactCost(int dx, int dz)
     return cost;
 }
 
-std::vector<GeneratorBackend>&
-mutableRegistry()
+} // namespace
+
+std::pair<int, int>
+squarePatchShape(int distance, int distanceX, int distanceZ)
 {
-    static std::vector<GeneratorBackend> registry{
+    return {distanceX > 0 ? distanceX : distance,
+            distanceZ > 0 ? distanceZ : distance};
+}
+
+const std::vector<GeneratorBackend>&
+generatorRegistry()
+{
+    static const std::vector<GeneratorBackend> registry{
         {EmbeddingKind::Baseline2D, "baseline", "baseline2d 2d",
          "Baseline", false, generateBaselineMemory, baselineCost,
          squarePatchShape},
@@ -59,38 +68,6 @@ mutableRegistry()
          compactRectPatchShape},
     };
     return registry;
-}
-
-} // namespace
-
-std::pair<int, int>
-squarePatchShape(int distance, int distanceX, int distanceZ)
-{
-    return {distanceX > 0 ? distanceX : distance,
-            distanceZ > 0 ? distanceZ : distance};
-}
-
-const std::vector<GeneratorBackend>&
-generatorRegistry()
-{
-    return mutableRegistry();
-}
-
-void
-registerGenerator(const GeneratorBackend& registration)
-{
-    VLQ_ASSERT(registration.generate != nullptr
-                   && registration.cost != nullptr
-                   && registration.shape != nullptr,
-               "generator registration needs generate, cost and shape "
-               "hooks");
-    for (GeneratorBackend& entry : mutableRegistry()) {
-        if (entry.kind == registration.kind) {
-            entry = registration;
-            return;
-        }
-    }
-    mutableRegistry().push_back(registration);
 }
 
 const GeneratorBackend&

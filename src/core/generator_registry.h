@@ -37,7 +37,8 @@ using PatchShapeFn = std::pair<int, int> (*)(int distance, int distanceX,
  * through this table (via makeGenerator / generateMemoryCircuit /
  * patchCost), so a new hardware layout -- another cavity depth
  * trade-off, a biased-noise patch shape, a non-square grid -- is one
- * registration, with no scheduler or call-site churn.
+ * EmbeddingKind value plus one table row, with no scheduler or
+ * call-site churn.
  */
 struct GeneratorBackend
 {
@@ -77,17 +78,10 @@ std::pair<int, int> squarePatchShape(int distance, int distanceX,
                                      int distanceZ);
 
 /**
- * The generator registry: the paper's three embeddings, the
- * rectangular Compact variant, plus anything added via
- * registerGenerator().
+ * The generator registry, a const table: the paper's three embeddings
+ * and the rectangular Compact variant, one row per EmbeddingKind.
  */
 const std::vector<GeneratorBackend>& generatorRegistry();
-
-/**
- * Register (or, for an existing kind, replace) a backend. Not
- * thread-safe; call during startup before generating circuits.
- */
-void registerGenerator(const GeneratorBackend& registration);
 
 /** Look up a registered backend; panics when `kind` is unregistered. */
 const GeneratorBackend& generatorBackend(EmbeddingKind kind);

@@ -2,7 +2,6 @@
 #define VLQ_DECODER_DECODER_H
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -12,7 +11,16 @@ namespace vlq {
 
 class ShotBatch;
 
-/** Interface shared by the decoders (enables decoder ablations). */
+/**
+ * Interface shared by the decoders (enables decoder ablations).
+ *
+ * A backend implements one per-shot hook, decodeShot(); the scalar
+ * decode() calls and the batch loop all go through it, so the batched
+ * Monte-Carlo engine's reproducibility contract (decodeBatch agrees
+ * with decode() shot for shot) holds by construction. Backends keep
+ * their per-shot scratch (cluster arenas, edge buffers, blossom
+ * buffers) per thread, so it stays hot across a batch.
+ */
 class Decoder
 {
   public:
@@ -23,40 +31,36 @@ class Decoder
      * @param detectorFlips one bit per detector.
      * @return predicted observable bitmask.
      */
-    virtual uint32_t decode(const BitVec& detectorFlips) const = 0;
+    uint32_t decode(const BitVec& detectorFlips) const;
+
+    /**
+     * decode() with heralds: `erasures` holds one bit per DEM erasure
+     * site (FaultSampler::Shot::erasures). Backends that do not use
+     * heralds decode the detectors alone.
+     */
+    uint32_t decode(const BitVec& detectorFlips,
+                    const BitVec& erasures) const;
 
     /**
      * Decode every shot of a batch: predictions[s] receives the
      * predicted observable bitmask for shot s. `predictions` must
-     * hold at least batch.numShots() entries.
-     *
-     * Backends reuse per-shot scratch (event lists, cluster arenas,
-     * edge buffers) across the whole batch. They must agree with
-     * decode() shot-for-shot -- the batched Monte-Carlo engine's
-     * reproducibility contract depends on it, and the test suite
-     * checks it for every registered backend.
+     * hold at least batch.numShots() entries. Event lists (and, when
+     * the batch carries erasure rows, fired erasure sites) are
+     * gathered with one sparse sweep into per-thread scratch, then
+     * each shot goes through decodeShot().
      */
-    virtual void decodeBatch(const ShotBatch& batch,
-                             std::span<uint32_t> predictions) const = 0;
+    void decodeBatch(const ShotBatch& batch,
+                     std::span<uint32_t> predictions) const;
 
   protected:
     /**
-     * Shared decodeBatch core for event-list backends: gathers
-     * per-shot event lists with one sparse sweep (reusing a
-     * per-thread scratch) and calls `decodeEvents` per shot. The
-     * per-shot std::function indirection is noise next to any real
-     * decode.
+     * Decode one shot: `events` are its detection events and
+     * `erasureSites` its fired erasure sites, both ascending.
+     * @return predicted observable bitmask.
      */
-    void decodeBatchEvents(
-        const ShotBatch& batch, std::span<uint32_t> predictions,
-        const std::function<uint32_t(const std::vector<uint32_t>&)>&
-            decodeEvents) const;
-
-    /**
-     * Record one finished batch in the decode.batches, decode.shots
-     * and decode.trivial_shots counters (no-op with metrics off).
-     */
-    static void countBatchShots(uint32_t shots, uint32_t trivial);
+    virtual uint32_t
+    decodeShot(const std::vector<uint32_t>& events,
+               const std::vector<uint32_t>& erasureSites) const = 0;
 };
 
 } // namespace vlq

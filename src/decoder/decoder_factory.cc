@@ -23,35 +23,17 @@ makeUnionFind(const DetectorErrorModel& dem)
     return std::make_unique<UnionFindDecoder>(dem);
 }
 
-std::vector<DecoderRegistration>&
-mutableRegistry()
-{
-    static std::vector<DecoderRegistration> registry{
-        {DecoderKind::Mwpm, "mwpm", "blossom matching", makeMwpm},
-        {DecoderKind::UnionFind, "union-find", "unionfind uf",
-         makeUnionFind},
-    };
-    return registry;
-}
-
 } // namespace
 
 const std::vector<DecoderRegistration>&
 decoderRegistry()
 {
-    return mutableRegistry();
-}
-
-void
-registerDecoder(const DecoderRegistration& registration)
-{
-    for (DecoderRegistration& entry : mutableRegistry()) {
-        if (entry.kind == registration.kind) {
-            entry = registration;
-            return;
-        }
-    }
-    mutableRegistry().push_back(registration);
+    static const std::vector<DecoderRegistration> registry{
+        {DecoderKind::Mwpm, "mwpm", "blossom matching", makeMwpm},
+        {DecoderKind::UnionFind, "union-find", "unionfind uf",
+         makeUnionFind},
+    };
+    return registry;
 }
 
 std::unique_ptr<Decoder>
@@ -60,9 +42,7 @@ makeDecoder(DecoderKind kind, const DetectorErrorModel& dem)
     for (const DecoderRegistration& entry : decoderRegistry())
         if (entry.kind == kind)
             return entry.maker(dem);
-    // Unreachable for the built-in kinds; fail safe to the reference
-    // decoder rather than crash.
-    return makeMwpm(dem);
+    VLQ_PANIC("DecoderKind has no registered decoder backend");
 }
 
 std::unique_ptr<Decoder>

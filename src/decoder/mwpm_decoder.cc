@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "decoder/blossom.h"
-#include "dem/shot_batch.h"
 #include "util/logging.h"
 
 namespace vlq {
@@ -47,19 +46,10 @@ MwpmDecoder::MwpmDecoder(const DetectorErrorModel& dem)
 }
 
 uint32_t
-MwpmDecoder::decode(const BitVec& detectorFlips) const
+MwpmDecoder::decodeShot(const std::vector<uint32_t>& events,
+                        const std::vector<uint32_t>& /*erasureSites*/) const
 {
-    return matchEvents(paths_, detectorFlips.onesIndices());
-}
-
-void
-MwpmDecoder::decodeBatch(const ShotBatch& batch,
-                         std::span<uint32_t> predictions) const
-{
-    decodeBatchEvents(batch, predictions,
-                      [this](const std::vector<uint32_t>& events) {
-                          return matchEvents(paths_, events);
-                      });
+    return matchEvents(paths_, events);
 }
 
 namespace {

@@ -7,7 +7,6 @@
 #include "decoder/decoder.h"
 #include "decoder/shortest_paths.h"
 #include "dem/detector_model.h"
-#include "pauli/bitvec.h"
 
 namespace vlq {
 
@@ -71,17 +70,13 @@ class MwpmDecoder : public Decoder
   public:
     explicit MwpmDecoder(const DetectorErrorModel& dem);
 
-    uint32_t decode(const BitVec& detectorFlips) const override;
-
-    /**
-     * Batched decode: event lists come from one sparse sweep over the
-     * batch, and the per-shot scratch (distances, components, edge
-     * list, blossom buffers) is per-thread and reused across shots.
-     */
-    void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions) const override;
-
     const ShortestPaths& paths() const { return paths_; }
+
+  protected:
+    /** matchEvents on the shot's events; heralds are not used. */
+    uint32_t decodeShot(const std::vector<uint32_t>& events,
+                        const std::vector<uint32_t>& erasureSites)
+        const override;
 
   private:
     ShortestPaths paths_;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "decoder/mwpm_decoder.h"
-#include "dem/shot_batch.h"
 #include "obs/obs.h"
 #include "util/logging.h"
 
@@ -208,28 +207,11 @@ UnionFindDecoder::UnionFindDecoder(DecodingGraph graph,
 }
 
 uint32_t
-UnionFindDecoder::decode(const BitVec& detectorFlips) const
-{
-    return decodeEvents(detectorFlips.onesIndices(), kNoErasedEdges,
-                        nullptr);
-}
-
-uint32_t
 UnionFindDecoder::decode(const BitVec& detectorFlips,
                          DecodeInfo* info) const
 {
     return decodeEvents(detectorFlips.onesIndices(), kNoErasedEdges,
                         info);
-}
-
-uint32_t
-UnionFindDecoder::decodeWithErasures(const BitVec& detectorFlips,
-                                     const BitVec& erasures,
-                                     DecodeInfo* info) const
-{
-    thread_local std::vector<uint32_t> edges;
-    mapErasureSites(erasures.onesIndices(), edges);
-    return decodeEvents(detectorFlips.onesIndices(), edges, info);
 }
 
 uint32_t
@@ -240,12 +222,16 @@ UnionFindDecoder::decodeErasedEdges(
     return decodeEvents(detectorFlips.onesIndices(), erasedEdges, info);
 }
 
-void
-UnionFindDecoder::mapErasureSites(const std::vector<uint32_t>& sites,
-                                  std::vector<uint32_t>& edges) const
+uint32_t
+UnionFindDecoder::decodeShot(const std::vector<uint32_t>& events,
+                             const std::vector<uint32_t>& erasureSites) const
 {
+    if (erasureSites.empty())
+        return decodeEvents(events, kNoErasedEdges, nullptr);
+    obs::StageTimer seedTimer("uf.erasure_seed");
+    thread_local std::vector<uint32_t> edges;
     edges.clear();
-    for (uint32_t site : sites) {
+    for (uint32_t site : erasureSites) {
         // Graph-built decoders have no site map; heralds are then
         // decoded as ordinary syndromes.
         if (site >= erasureSiteEdges_.size())
@@ -253,84 +239,7 @@ UnionFindDecoder::mapErasureSites(const std::vector<uint32_t>& sites,
         const auto& se = erasureSiteEdges_[site];
         edges.insert(edges.end(), se.begin(), se.end());
     }
-}
-
-namespace {
-
-/** Cumulative per-thread decode-path tallies for the trace's counter
- *  tracks ("ph":"C"): the timeline shows fast-path vs general-growth
- *  decode mix evolving per worker lane. */
-thread_local uint64_t tUfExactShots = 0;
-thread_local uint64_t tUfGrowthShots = 0;
-thread_local uint64_t tUfErasureShots = 0;
-
-void
-traceDecodeMix()
-{
-    obs::traceCounter("uf.exact_fastpath", tUfExactShots);
-    obs::traceCounter("uf.growth", tUfGrowthShots);
-    if (tUfErasureShots > 0)
-        obs::traceCounter("uf.erasure_seeded", tUfErasureShots);
-}
-
-} // namespace
-
-void
-UnionFindDecoder::decodeBatch(const ShotBatch& batch,
-                              std::span<uint32_t> predictions) const
-{
-    if (batch.numErasureSites() == 0 || erasureSiteEdges_.empty()) {
-        const bool tracing = obs::traceEnabled();
-        decodeBatchEvents(
-            batch, predictions,
-            [this, tracing](const std::vector<uint32_t>& events) {
-                if (tracing && !events.empty()) {
-                    if (events.size() <= exactSyndromeThreshold_)
-                        ++tUfExactShots;
-                    else
-                        ++tUfGrowthShots;
-                }
-                return decodeEvents(events, kNoErasedEdges, nullptr);
-            });
-        if (tracing)
-            traceDecodeMix();
-        return;
-    }
-    // Erasure-aware batch: gather event and herald lists with one
-    // sparse sweep each, then decode per shot with the herald's edges
-    // seeded at zero weight.
-    VLQ_ASSERT(predictions.size() >= batch.numShots(),
-               "predictions span smaller than the batch");
-    obs::StageTimer obsTimer("decode.batch");
-    thread_local std::vector<std::vector<uint32_t>> events;
-    thread_local std::vector<std::vector<uint32_t>> sites;
-    thread_local std::vector<uint32_t> edges;
-    {
-        obs::StageTimer gatherTimer("decode.gather");
-        batch.gatherEvents(events);
-        batch.gatherErasures(sites);
-    }
-    const bool tracing = obs::traceEnabled();
-    uint32_t trivial = 0;
-    for (uint32_t s = 0; s < batch.numShots(); ++s) {
-        obs::StageTimer seedTimer(
-            !sites[s].empty() ? "uf.erasure_seed" : nullptr);
-        mapErasureSites(sites[s], edges);
-        if (tracing && !events[s].empty()) {
-            if (!edges.empty())
-                ++tUfErasureShots;
-            else if (events[s].size() <= exactSyndromeThreshold_)
-                ++tUfExactShots;
-            else
-                ++tUfGrowthShots;
-        }
-        if (events[s].empty())
-            ++trivial;
-        predictions[s] = decodeEvents(events[s], edges, nullptr);
-    }
-    if (tracing)
-        traceDecodeMix();
-    countBatchShots(batch.numShots(), trivial);
+    return decodeEvents(events, edges, nullptr);
 }
 
 uint32_t
@@ -512,9 +421,6 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             fastPath.add(1);
         }
         matchDefectsExact(events);
-        if (info)
-            info->initialClusters =
-                static_cast<uint32_t>(events.size());
         return obs;
     }
 
@@ -557,8 +463,6 @@ UnionFindDecoder::decodeEvents(const std::vector<uint32_t>& events,
             g.slotEdge.begin() + g.vertexBegin[v + 1]);
         s.active.push_back(v);
     }
-    if (info)
-        info->initialClusters = static_cast<uint32_t>(events.size());
 
     // A vertex first reached by cluster growth contributes its incident
     // edges so the cluster keeps expanding past it. The boundary never

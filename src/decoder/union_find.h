@@ -56,10 +56,10 @@ struct UnionFindOptions
  * threshold -- are solved by branch-and-bound; large ones by the
  * blossom core MWPM uses (matchEvents): grow locally, then match
  * exactly, as sparse blossom does. Only clusters holding erased
- * edges peel a spanning forest of their grown edges (see
- * decodeWithErasures). The XOR of observable masks along the chosen
- * paths is the correction. No global blossom search: the fast backend
- * for large-distance Monte-Carlo scans, agreeing with MWPM up to the
+ * edges peel a spanning forest of their grown edges (see decodeShot).
+ * The XOR of observable masks along the chosen paths is the
+ * correction. No global blossom search: the fast backend for
+ * large-distance Monte-Carlo scans, agreeing with MWPM up to the
  * cluster split and genuine weight degeneracy.
  *
  * Syndromes below UnionFindOptions::exactSyndromeThreshold events
@@ -82,7 +82,6 @@ class UnionFindDecoder : public Decoder
     struct DecodeInfo
     {
         uint32_t growthRounds = 0;
-        uint32_t initialClusters = 0;
     };
 
     explicit UnionFindDecoder(const DetectorErrorModel& dem,
@@ -92,53 +91,37 @@ class UnionFindDecoder : public Decoder
     explicit UnionFindDecoder(DecodingGraph graph,
                               UnionFindOptions options = {});
 
-    uint32_t decode(const BitVec& detectorFlips) const override;
-
-    /**
-     * Batched decode: per-shot event lists are gathered with one
-     * sparse sweep over the transposed batch, and the thread-local
-     * cluster arenas stay hot across the whole batch.
-     * When the batch carries heralded-erasure rows, each shot's
-     * erased edges are seeded at zero weight (see decodeWithErasures).
-     */
-    void decodeBatch(const ShotBatch& batch,
-                     std::span<uint32_t> predictions) const override;
+    using Decoder::decode;
 
     /** decode() variant that also reports diagnostics. */
     uint32_t decode(const BitVec& detectorFlips, DecodeInfo* info) const;
 
     /**
-     * Erasure-aware decode: `erasures` holds one bit per DEM erasure
-     * site (FaultSampler::Shot::erasures). The edges of heralded sites
-     * are grown to full support at time zero -- erasure costs nothing,
-     * the Delfosse-Nickerson zero-weight seeding -- before ordinary
-     * weighted growth, and clusters containing erased edges peel on
-     * their spanning forests (exact for erasure-only shots). Requires
-     * construction from a DetectorErrorModel (the graph alone cannot
-     * map sites to edges).
-     */
-    uint32_t decodeWithErasures(const BitVec& detectorFlips,
-                                const BitVec& erasures,
-                                DecodeInfo* info = nullptr) const;
-
-    /**
      * Lower-level erasure decode on explicit edge indices (hand-built
-     * graph tests and the batched path).
+     * graph tests).
      */
     uint32_t decodeErasedEdges(const BitVec& detectorFlips,
                                const std::vector<uint32_t>& erasedEdges,
                                DecodeInfo* info = nullptr) const;
 
-    /** Edges seeded by each heralded-erasure site (diagnostics). */
-    const std::vector<std::vector<uint32_t>>& erasureSiteEdges() const
-    {
-        return erasureSiteEdges_;
-    }
-
     const DecodingGraph& graph() const { return paths_.graph(); }
 
     /** Growth ticks of edge e (the quantized weight). */
     uint32_t edgeCapacity(uint32_t e) const { return capacity_[e]; }
+
+  protected:
+    /**
+     * Erasure-aware decode of one shot: the edges of the fired
+     * erasure sites are grown to full support at time zero -- erasure
+     * costs nothing, the Delfosse-Nickerson zero-weight seeding --
+     * before ordinary weighted growth, and clusters containing erased
+     * edges peel on their spanning forests (exact for erasure-only
+     * shots). A decoder built from a bare graph has no site-to-edge
+     * map and decodes heralded shots as ordinary syndromes.
+     */
+    uint32_t decodeShot(const std::vector<uint32_t>& events,
+                        const std::vector<uint32_t>& erasureSites)
+        const override;
 
   private:
     /**
@@ -149,10 +132,6 @@ class UnionFindDecoder : public Decoder
     uint32_t decodeEvents(const std::vector<uint32_t>& events,
                           const std::vector<uint32_t>& erasedEdges,
                           DecodeInfo* info) const;
-
-    /** Flatten fired erasure-site indices into their edges. */
-    void mapErasureSites(const std::vector<uint32_t>& sites,
-                         std::vector<uint32_t>& edges) const;
 
     ShortestPaths paths_;
     /** Edge indices seeded by each heralded-erasure site. */

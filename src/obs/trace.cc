@@ -16,15 +16,12 @@ namespace {
 /** Per-thread buffers are bounded; overflow counts drops. */
 constexpr size_t kMaxEventsPerThread = size_t{1} << 20;
 
-enum class EventKind : uint8_t { Span, Counter };
-
 struct TraceEvent
 {
     const char* name;  // string literal, stored by pointer
     uint64_t startNs;
-    uint64_t value;    // Span: duration ns; Counter: sampled value
+    uint64_t durNs;
     uint32_t lane;
-    EventKind kind;
 };
 
 struct TraceState
@@ -63,8 +60,7 @@ thread_local ThreadBuffer tBuffer;
 thread_local uint32_t tLane = 0; // 0 = main / unpinned
 
 void
-record(const char* name, uint64_t startNs, uint64_t value,
-       EventKind kind)
+record(const char* name, uint64_t startNs, uint64_t durNs)
 {
     ThreadBuffer& buf = tBuffer;
     if (!buf.registered) {
@@ -77,7 +73,7 @@ record(const char* name, uint64_t startNs, uint64_t value,
         state().dropped.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    buf.events.push_back(TraceEvent{name, startNs, value, tLane, kind});
+    buf.events.push_back(TraceEvent{name, startNs, durNs, tLane});
 }
 
 void
@@ -109,19 +105,11 @@ appendEvent(std::string& out, const TraceEvent& e, bool& first)
     first = false;
     out += "{\"name\":";
     appendJsonString(out, e.name);
-    if (e.kind == EventKind::Span) {
-        std::snprintf(buf, sizeof buf,
-                      ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-                      "\"pid\":1,\"tid\":%u}",
-                      static_cast<double>(e.startNs) / 1000.0,
-                      static_cast<double>(e.value) / 1000.0, e.lane);
-    } else {
-        std::snprintf(buf, sizeof buf,
-                      ",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,"
-                      "\"tid\":%u,\"args\":{\"value\":%llu}}",
-                      static_cast<double>(e.startNs) / 1000.0, e.lane,
-                      static_cast<unsigned long long>(e.value));
-    }
+    std::snprintf(buf, sizeof buf,
+                  ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
+                  "\"pid\":1,\"tid\":%u}",
+                  static_cast<double>(e.startNs) / 1000.0,
+                  static_cast<double>(e.durNs) / 1000.0, e.lane);
     out += buf;
 }
 
@@ -155,13 +143,7 @@ traceNowNs()
 void
 traceSpan(const char* name, uint64_t startNs, uint64_t durNs)
 {
-    record(name, startNs, durNs, EventKind::Span);
-}
-
-void
-traceCounter(const char* name, uint64_t value)
-{
-    record(name, traceNowNs(), value, EventKind::Counter);
+    record(name, startNs, durNs);
 }
 
 void

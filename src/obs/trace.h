@@ -43,12 +43,6 @@ uint64_t traceNowNs();
 void traceSpan(const char* name, uint64_t startNs, uint64_t durNs);
 
 /**
- * Record one counter ("ph":"C") sample: a stepped value-over-time
- * track in the viewer (e.g. cumulative UF fast-path hits).
- */
-void traceCounter(const char* name, uint64_t value);
-
-/**
  * Pin the calling thread to timeline lane `lane` (0 = main). Called by
  * ThreadPool for its workers; lanes persist for the thread's lifetime.
  */

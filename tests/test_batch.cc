@@ -217,24 +217,52 @@ TEST(BatchSamplerTest, StatisticallyMatchesScalarSampler)
 
 TEST(DecodeBatchTest, AgreesShotForShotWithScalarDecode)
 {
-    DetectorErrorModel dem = buildDem(3, 8e-3);
-    FaultSampler sampler(dem);
-    const Rng root(0xabcdef);
-    ShotBatch batch;
-    batch.reset(dem.numDetectors(), dem.numObservables(), 300, 0);
-    sampler.sampleBatchInto(root, batch);
+    // Two inputs: plain Pauli noise, and a model whose batch carries
+    // heralded-erasure rows (MWPM ignores heralds, union-find seeds
+    // them at zero weight).
+    GeneratorConfig heraldCfg = batchConfig(3, 8e-3);
+    heraldCfg.noise.erasure.fraction = 0.6;
+    std::vector<DetectorErrorModel> dems;
+    dems.push_back(buildDem(3, 8e-3));
+    dems.push_back(DetectorErrorModel::build(
+        generateMemoryCircuit(EmbeddingKind::Baseline2D, heraldCfg)
+            .circuit));
+    ASSERT_EQ(dems[0].numErasureSites(), 0u);
+    ASSERT_GT(dems[1].numErasureSites(), 0u);
 
-    for (const DecoderRegistration& reg : decoderRegistry()) {
-        std::unique_ptr<Decoder> dec = makeDecoder(reg.kind, dem);
-        ASSERT_NE(dec, nullptr) << reg.name;
-        std::vector<uint32_t> predictions(batch.numShots(), 0xdead);
-        dec->decodeBatch(batch, std::span<uint32_t>(predictions));
-        BitVec det;
-        for (uint32_t s = 0; s < batch.numShots(); ++s) {
-            batch.extractShot(s, det);
-            ASSERT_EQ(predictions[s], dec->decode(det))
-                << reg.name << " shot " << s;
+    for (const DetectorErrorModel& dem : dems) {
+        FaultSampler sampler(dem);
+        const Rng root(0xabcdef);
+        ShotBatch batch;
+        batch.reset(dem.numDetectors(), dem.numObservables(), 300, 0,
+                    dem.numErasureSites());
+        sampler.sampleBatchInto(root, batch);
+
+        size_t heralds = 0;
+        for (const DecoderRegistration& reg : decoderRegistry()) {
+            std::unique_ptr<Decoder> dec = makeDecoder(reg.kind, dem);
+            ASSERT_NE(dec, nullptr) << reg.name;
+            std::vector<uint32_t> predictions(batch.numShots(), 0xdead);
+            dec->decodeBatch(batch, std::span<uint32_t>(predictions));
+            BitVec det;
+            for (uint32_t s = 0; s < batch.numShots(); ++s) {
+                batch.extractShot(s, det);
+                BitVec era(dem.numErasureSites());
+                for (uint32_t site = 0; site < dem.numErasureSites();
+                     ++site)
+                    if (batch.erased(s, site))
+                        era.set(site, true);
+                heralds += era.popcount();
+                ASSERT_EQ(predictions[s], dec->decode(det, era))
+                    << reg.name << " shot " << s;
+                if (reg.kind == DecoderKind::Mwpm) {
+                    ASSERT_EQ(predictions[s], dec->decode(det))
+                        << reg.name << " shot " << s;
+                }
+            }
         }
+        // The herald-carrying batch actually raises heralds.
+        EXPECT_EQ(heralds > 0, dem.numErasureSites() > 0);
     }
 }
 

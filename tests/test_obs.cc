@@ -219,7 +219,6 @@ TEST(ObsTrace, TimelineJsonIsSchemaValid)
     {
         obs::StageTimer span("test.obs.span");
     }
-    obs::traceCounter("test.obs.counter", 42);
     // Worker spans land on per-worker lanes (w+1).
     ThreadPool pool(3);
     pool.parallelFor(3, [](uint64_t, uint64_t, unsigned) {
@@ -234,7 +233,6 @@ TEST(ObsTrace, TimelineJsonIsSchemaValid)
     EXPECT_NE(json.find("test.obs.span"), std::string::npos);
     EXPECT_NE(json.find("test.obs.worker_span"), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(json.find("thread_name"), std::string::npos);
     EXPECT_EQ(obs::traceDroppedEvents(), 0u);
 }

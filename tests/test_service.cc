@@ -17,6 +17,7 @@
 #include "service/job_service.h"
 #include "service/job_validation.h"
 #include "service/scheduler.h"
+#include "util/rng.h"
 
 namespace vlq {
 namespace {
@@ -186,6 +187,105 @@ TEST(ServiceRequest, BadNumbersAreRejected)
         EXPECT_NE(error.find("expected an integer in"), std::string::npos)
             << error;
     }
+}
+
+TEST(ServiceRequest, SeededMutationFuzz)
+{
+    // ~20k mutants of valid request lines (byte flips, truncations,
+    // token duplication and deletion) under a fixed seed. Properties:
+    // no crash (ASan/UBSan builds check memory safety), every accepted
+    // submit carries a non-empty id, and requestLine() is a fixed
+    // point: rendering an accepted job, parsing that line and
+    // rendering again reproduces it byte for byte.
+    const std::vector<std::string> seeds = {
+        smallJob("fuzz-a").requestLine(),
+        "submit id=j.2 priority=-3 embedding=compact-rect "
+        "schedule=interleaved distances=3,5 ps=0.001,7.5e-3 "
+        "trials=900 seed=7 decoder=uf batch=128 target=40 "
+        "compute=scalar",
+        "submit id=x setup=0 ps=2e-3",
+        "cancel id=fuzz-a",
+        "requeue id=j.2",
+        "shutdown",
+        "  # comment line",
+    };
+    auto tokensOf = [](const std::string& line) {
+        std::vector<std::string> tokens;
+        std::istringstream is(line);
+        std::string token;
+        while (is >> token)
+            tokens.push_back(token);
+        return tokens;
+    };
+    auto joined = [](const std::vector<std::string>& tokens) {
+        std::string line;
+        for (const std::string& token : tokens)
+            line += (line.empty() ? "" : " ") + token;
+        return line;
+    };
+
+    Rng rng(0xf022ed);
+    uint32_t accepted = 0;
+    uint32_t submits = 0;
+    for (uint32_t iter = 0; iter < 20000; ++iter) {
+        std::string line = seeds[rng.nextBelow(seeds.size())];
+        const uint64_t mutations = 1 + rng.nextBelow(3);
+        for (uint64_t m = 0; m < mutations; ++m) {
+            std::vector<std::string> tokens = tokensOf(line);
+            switch (rng.nextBelow(5)) {
+            case 0: // flip one bit
+                if (!line.empty())
+                    line[rng.nextBelow(line.size())] ^=
+                        static_cast<char>(1u << rng.nextBelow(8));
+                break;
+            case 1: // overwrite one byte
+                if (!line.empty())
+                    line[rng.nextBelow(line.size())] =
+                        static_cast<char>(rng.nextBelow(256));
+                break;
+            case 2: // truncate
+                line.resize(rng.nextBelow(line.size() + 1));
+                break;
+            case 3: // duplicate a token in place
+                if (!tokens.empty()) {
+                    const uint64_t t = rng.nextBelow(tokens.size());
+                    tokens.insert(tokens.begin() + static_cast<long>(t),
+                                  tokens[t]);
+                    line = joined(tokens);
+                }
+                break;
+            default: // delete a token
+                if (!tokens.empty()) {
+                    tokens.erase(tokens.begin() + static_cast<long>(
+                                     rng.nextBelow(tokens.size())));
+                    line = joined(tokens);
+                }
+                break;
+            }
+        }
+
+        std::string error;
+        auto parsed = service::parseRequestLine(line, &error);
+        if (!parsed)
+            continue;
+        ++accepted;
+        if (parsed->kind != service::Request::Kind::Submit)
+            continue;
+        ++submits;
+        ASSERT_FALSE(parsed->job.id.empty()) << line;
+        const std::string rendered = parsed->job.requestLine();
+        auto again = service::parseRequestLine(rendered, &error);
+        ASSERT_TRUE(again.has_value())
+            << "mutant: " << line << "\nrendered: " << rendered
+            << "\nerror: " << error;
+        ASSERT_EQ(again->kind, service::Request::Kind::Submit);
+        ASSERT_EQ(again->job.requestLine(), rendered)
+            << "mutant: " << line;
+    }
+    // The mutants exercise both the accept and the reject paths.
+    EXPECT_GT(accepted, 1000u);
+    EXPECT_GT(submits, 500u);
+    EXPECT_LT(accepted, 20000u);
 }
 
 // ---------------------------------------------------------------------

@@ -231,7 +231,6 @@ TEST(UnionFindTest, EmptySyndromeNoCorrection)
     UnionFindDecoder::DecodeInfo info;
     EXPECT_EQ(uf.decode(BitVec(3), &info), 0u);
     EXPECT_EQ(info.growthRounds, 0u);
-    EXPECT_EQ(info.initialClusters, 0u);
 }
 
 TEST(UnionFindTest, SingleDefectMatchesToNearestBoundary)
@@ -244,24 +243,20 @@ TEST(UnionFindTest, SingleDefectMatchesToNearestBoundary)
 TEST(UnionFindTest, AdjacentDefectsMergeThroughDirectEdge)
 {
     UnionFindDecoder uf(chainGraph(), growthOnly());
-    UnionFindDecoder::DecodeInfo info;
     // 0-1 direct (4.60, grown from both ends) beats 0's boundary
     // (3.48, grown from one end only): the pair's mask is 0, while
     // sending both to the boundary would flip 1 ^ 2 = 3.
-    EXPECT_EQ(uf.decode(syndromeOf({0, 1}, 3), &info), 0u);
-    EXPECT_EQ(info.initialClusters, 2u);
+    EXPECT_EQ(uf.decode(syndromeOf({0, 1}, 3)), 0u);
     EXPECT_EQ(uf.decode(syndromeOf({1, 2}, 3)), 2u);
 }
 
 TEST(UnionFindTest, FarDefectsFreezeAtTheirBoundaries)
 {
     UnionFindDecoder uf(chainGraph(), growthOnly());
-    UnionFindDecoder::DecodeInfo info;
     // Boundary pairing (3.48 + 3.48, mask 1 ^ 0) beats the middle
     // path (8.49, mask 0 ^ 2): both clusters freeze on boundary
     // contact and resolve separately.
-    EXPECT_EQ(uf.decode(syndromeOf({0, 2}, 3), &info), 1u);
-    EXPECT_EQ(info.initialClusters, 2u);
+    EXPECT_EQ(uf.decode(syndromeOf({0, 2}, 3)), 1u);
 }
 
 TEST(UnionFindTest, MiddleDefectTakesCheaperBoundaryPath)
@@ -728,7 +723,7 @@ TEST(UnionFindErasureTest, ErasureOnlyShotsDecodeExactly)
             if (dem.detectors(o).empty())
                 continue;
             BitVec det = syndromeOf(dem.detectors(o), dem.numDetectors());
-            EXPECT_EQ(uf.decodeWithErasures(det, erasures),
+            EXPECT_EQ(uf.decode(det, erasures),
                       o.observables)
                 << "op " << ch.opIndex << " site " << ch.erasureSite;
             ++checked;
@@ -769,7 +764,7 @@ TEST(UnionFindErasureTest, BatchDecodeMatchesScalarWithErasures)
             if (batch.erased(s, site))
                 era.set(site, true);
         heraldsSeen += era.popcount();
-        EXPECT_EQ(predictions[s], uf.decodeWithErasures(det, era))
+        EXPECT_EQ(predictions[s], uf.decode(det, era))
             << "shot " << s;
     }
     // The config is chosen so heralds actually fire in this batch.
@@ -818,7 +813,7 @@ TEST(UnionFindErasureTest, DecodeIsIndependentOfThreadHistory)
             if (batch.erased(s, site))
                 era.set(site, true);
         uint32_t fresh = 0;
-        std::thread([&] { fresh = uf.decodeWithErasures(det, era); })
+        std::thread([&] { fresh = uf.decode(det, era); })
             .join();
         EXPECT_EQ(predictions[s], fresh) << "shot " << s;
     }

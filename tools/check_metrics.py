@@ -183,20 +183,14 @@ def check_trace(ck, doc):
         ck.check(isinstance(ev.get("name"), str) and ev["name"],
                  f"{ctx}.name: expected a non-empty string")
         ph = ev.get("ph")
-        if not ck.check(ph in ("X", "C", "M"),
-                        f"{ctx}.ph: expected X, C or M, got {ph!r}"):
+        if not ck.check(ph in ("X", "M"),
+                        f"{ctx}.ph: expected X or M, got {ph!r}"):
             continue
         ck.number(ev, ctx, "pid")
         ck.number(ev, ctx, "tid", minimum=0)
         if ph == "X":
             ck.number(ev, ctx, "ts", minimum=0)
             ck.number(ev, ctx, "dur", minimum=0)
-        elif ph == "C":
-            ck.number(ev, ctx, "ts", minimum=0)
-            args = ev.get("args")
-            if ck.check(isinstance(args, dict),
-                        f"{ctx}.args: missing or not an object"):
-                ck.number(args, f"{ctx}.args", "value", minimum=0)
 
 
 def load_json(path):
